@@ -9,10 +9,9 @@
    `dune exec bench/main.exe -- --skip-micro` omits the bechamel part;
    `dune exec bench/main.exe -- --json FILE` additionally runs the
    perf-trajectory measurements (simulator events/sec, TOB transaction
-   throughput on the simulator and on both socket runtimes — thread-per-
-   node and event-loop — plus frame-path ns/frame and model-checker
-   schedules/sec) and writes every number to FILE as JSON, so successive
-   commits' files can be diffed. *)
+   throughput on the simulator and on the event-loop socket runtime, plus
+   frame-path ns/frame and model-checker schedules/sec) and writes every
+   number to FILE as JSON, so successive commits' files can be diffed. *)
 
 let quick = not (Array.exists (( = ) "--full") Sys.argv)
 let skip_micro = Array.exists (( = ) "--skip-micro") Sys.argv
@@ -418,61 +417,46 @@ let sharding_curve () =
     (fun (shards, t, xc, xa) -> (shards, t, t /. base, xc, xa))
     pts
 
-(* Scratch directories for the durability measurements. *)
-let dur_dir =
-  let n = ref 0 in
-  fun name ->
-    incr n;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "shadowdb-bench-dur-%d-%d-%s" (Unix.getpid ()) !n name)
+let rec rm_rf path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Unix.unlink path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
-(* The same cluster as a real socket deployment over loopback TCP:
-   committed transactions per wall-clock second plus p50/p99 commit
-   latency, on either socket runtime ([`Live] thread-per-node, [`Loop]
-   single-reactor event loop). [dur_group_commit] additionally journals
-   every applied batch through the file WAL backend, syncing after that
-   many records — 1 is fsync-per-commit, larger windows are group
-   commit. *)
-(* One timed deployment of the socket-runtime SMR bank. The clock runs
-   from [start] to client completion; the GC is quiesced first so a
-   major slice from earlier phases doesn't land inside a
-   single-digit-millisecond window. *)
-let measure_socket_once ?dur_group_commit rt () =
+(* Run [f dir] with a fresh scratch directory for one durability
+   measurement. [mkdir] fails on an existing directory, so an earlier
+   run's data is never reused; the directory is removed afterwards. *)
+let with_dur_dir =
+  let n = ref 0 in
+  fun name f ->
+    incr n;
+    let dir =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "shadowdb-bench-dur-%d-%d-%s" (Unix.getpid ()) !n name)
+    in
+    Unix.mkdir dir 0o755;
+    Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+(* One timed deployment of the same cluster as a real socket deployment
+   over loopback TCP on the event-loop runtime: committed transactions
+   per wall-clock second plus p50/p99 commit latency. [Some d]
+   additionally journals every applied batch through [d] (see
+   {!file_durability}). The clock runs from [start] to client
+   completion; the GC is quiesced first so a major slice from earlier
+   phases doesn't land inside a single-digit-millisecond window. *)
+let measure_socket_once durability =
   let codec =
     Sdb.wire_codec ~enc_core:Shadowdb.Codec.encode_core_paxos
       ~dec_core:Shadowdb.Codec.decode_core_paxos
   in
-  let live =
-    match rt with
-    | `Live -> Runtime.Driver.live ~codec ()
-    | `Loop -> Runtime.Driver.loop ~codec ()
-  in
-  let world = live.Runtime.Driver.world in
+  let rt = Runtime.Loop.create ~codec () in
+  let world = Runtime.Loop.runtime rt in
   let mu = Mutex.create () in
   let commits = ref 0 in
   let latencies = Stats.Sample.create () in
-  let durability =
-    Option.map
-      (fun gc ->
-        let base = dur_dir (Printf.sprintf "live-gc%d" gc) in
-        {
-          Sdb.dur_backend =
-            (fun i ->
-              Durable.File.create
-                ~dir:(Filename.concat base (Printf.sprintf "node%d" i))
-                ());
-          dur_policy =
-            (fun _ ->
-              {
-                Durable.Manager.group_commit = gc;
-                snapshot_every = 0;
-                replay_tail = true;
-              });
-          dur_on_recover = (fun _ _ ~state_hash:_ -> ());
-        })
-      dur_group_commit
-  in
   let cluster =
     Sdb.spawn_smr ~world ?durability ~registry:Workload.Bank.registry
       ~setup:(Workload.Bank.setup ~rows:bank_rows)
@@ -494,13 +478,12 @@ let measure_socket_once ?dur_group_commit rt () =
      single-digit milliseconds. *)
   Gc.compact ();
   let t0 = Unix.gettimeofday () in
-  live.Runtime.Driver.start ();
+  Runtime.Loop.start rt;
   let finished =
-    live.Runtime.Driver.await ~timeout:120.0 (fun () ->
-        completed () >= n_clients)
+    Runtime.Loop.await ~timeout:120.0 rt (fun () -> completed () >= n_clients)
   in
   let wall = Unix.gettimeofday () -. t0 in
-  live.Runtime.Driver.stop ();
+  Runtime.Loop.stop rt;
   let txns =
     if (not finished) || wall <= 0.0 then nan
     else float_of_int !commits /. wall
@@ -509,31 +492,44 @@ let measure_socket_once ?dur_group_commit rt () =
     Stats.Sample.percentile latencies 50.0 *. 1e3,
     Stats.Sample.percentile latencies 99.0 *. 1e3 )
 
-(* Best of five trials (single trial when a durability backend is
-   attached: trials would otherwise replay each other's WAL dirs). The
-   quick run finishes in milliseconds, so a stolen timeslice on a small
-   machine easily halves one trial's figure; the max over a handful of
-   trials is a far better estimate of what the runtime sustains, at
-   negligible cost. Applied identically to both socket runtimes. *)
-let measure_socket ?dur_group_commit rt () =
-  match dur_group_commit with
-  | Some _ -> measure_socket_once ?dur_group_commit rt ()
-  | None ->
-      let best = ref (measure_socket_once rt ()) in
-      for _ = 2 to 5 do
-        let ((t, _, _) as m) = measure_socket_once rt () in
-        let bt, _, _ = !best in
-        if (not (Float.is_nan t)) && (Float.is_nan bt || t > bt) then best := m
-      done;
-      !best
+(* Best of five trials. The quick run finishes in milliseconds, so a
+   stolen timeslice on a small machine easily halves one trial's figure;
+   the max over a handful of trials is a far better estimate of what the
+   runtime sustains, at negligible cost. *)
+let measure_socket () =
+  let best = ref (measure_socket_once None) in
+  for _ = 2 to 5 do
+    let ((t, _, _) as m) = measure_socket_once None in
+    let bt, _, _ = !best in
+    if (not (Float.is_nan t)) && (Float.is_nan bt || t > bt) then best := m
+  done;
+  !best
 
-let measure_live ?dur_group_commit () =
-  let t, _, _ = measure_socket ?dur_group_commit `Live () in
-  t
+(* File-WAL durability for every node under [base], syncing after [gc]
+   records — 1 is fsync-per-commit, larger windows are group commit. *)
+let file_durability ~gc base =
+  {
+    Sdb.dur_backend =
+      (fun i ->
+        Durable.File.create
+          ~dir:(Filename.concat base (Printf.sprintf "node%d" i))
+          ());
+    dur_policy =
+      (fun _ ->
+        { Durable.Manager.group_commit = gc; snapshot_every = 0; replay_tail = true });
+    dur_on_recover = (fun _ _ ~state_hash:_ -> ());
+  }
+
+(* Durable socket throughput: a single trial in a fresh WAL directory
+   (trials sharing one would replay each other's logs). *)
+let measure_durable ~gc () =
+  with_dur_dir (Printf.sprintf "gc%d" gc) (fun base ->
+      let t, _, _ = measure_socket_once (Some (file_durability ~gc base)) in
+      t)
 
 (* ns per frame through the shared wire framing: append one encoded frame
    into a reused buffer and parse it back out — the per-message data-
-   plane work both socket runtimes do besides the syscall. *)
+   plane work the socket runtime does besides the syscall. *)
 let measure_frame_ns () =
   let payload = String.make 200 'p' in
   let buf = Runtime.Frame.create 65536 in
@@ -552,7 +548,7 @@ let measure_frame_ns () =
 (* Raw WAL append bandwidth of the file backend (256-byte payloads,
    synced every 64 records). *)
 let measure_wal_append () =
-  let dir = dur_dir "wal" in
+  with_dur_dir "wal" @@ fun dir ->
   let b = Durable.File.create ~dir () in
   let payload = String.make 256 'w' in
   let n = if quick then 2_000 else 20_000 in
@@ -577,7 +573,7 @@ let measure_wal_append () =
    milliseconds per 10k records. *)
 let measure_recovery () =
   let n = if quick then 2_000 else 10_000 in
-  let dir = dur_dir "recover" in
+  with_dur_dir "recover" @@ fun dir ->
   let policy =
     { Durable.Manager.group_commit = 256; snapshot_every = 0; replay_tail = true }
   in
@@ -670,13 +666,12 @@ let run_trajectory () =
   print_endline "########################################################";
   let events_per_sec, sim_txns = measure_sim () in
   let shard_pts = sharding_curve () in
-  let live_txns, live_p50, live_p99 = measure_socket `Live () in
-  let loop_txns, loop_p50, loop_p99 = measure_socket `Loop () in
+  let loop_txns, loop_p50, loop_p99 = measure_socket () in
   let frame_ns = measure_frame_ns () in
   let check_rates = measure_check () in
   let wal_mb_s = measure_wal_append () in
-  let live_fsync = measure_live ~dur_group_commit:1 () in
-  let live_group = measure_live ~dur_group_commit:8 () in
+  let loop_fsync = measure_durable ~gc:1 () in
+  let loop_group = measure_durable ~gc:8 () in
   let recovery_ms = measure_recovery () in
   let conform_events_s, conform_codec_mb_s = measure_conform () in
   Stats.Table.print_table ~title:"perf trajectory"
@@ -685,19 +680,14 @@ let run_trajectory () =
        [ "sim engine events/s (wall)"; Stats.Table.fmt_f events_per_sec ];
        [ "tob txns/s (sim, virtual)"; Stats.Table.fmt_f sim_txns ];
        [
-         "tob txns/s (live, wall)";
-         Printf.sprintf "%s (p50 %.2f ms, p99 %.2f ms)"
-           (Stats.Table.fmt_f live_txns) live_p50 live_p99;
-       ];
-       [
          "tob txns/s (loop, wall)";
          Printf.sprintf "%s (p50 %.2f ms, p99 %.2f ms)"
            (Stats.Table.fmt_f loop_txns) loop_p50 loop_p99;
        ];
        [ "frame ns/frame (append+drain)"; Stats.Table.fmt_f frame_ns ];
        [ "wal append MB/s (file)"; Stats.Table.fmt_f wal_mb_s ];
-       [ "tob txns/s (live, fsync/commit)"; Stats.Table.fmt_f live_fsync ];
-       [ "tob txns/s (live, group commit 8)"; Stats.Table.fmt_f live_group ];
+       [ "tob txns/s (loop, fsync/commit)"; Stats.Table.fmt_f loop_fsync ];
+       [ "tob txns/s (loop, group commit 8)"; Stats.Table.fmt_f loop_group ];
        [ "recovery ms / 10k records"; Stats.Table.fmt_f recovery_ms ];
        [ "conform check events/s"; Stats.Table.fmt_f conform_events_s ];
        [ "conform trace codec MB/s"; Stats.Table.fmt_f conform_codec_mb_s ];
@@ -718,11 +708,10 @@ let run_trajectory () =
   ( events_per_sec,
     sim_txns,
     shard_pts,
-    (live_txns, live_p50, live_p99),
     (loop_txns, loop_p50, loop_p99),
     frame_ns,
     check_rates,
-    (wal_mb_s, live_fsync, live_group, recovery_ms),
+    (wal_mb_s, loop_fsync, loop_group, recovery_ms),
     (conform_events_s, conform_codec_mb_s) )
 
 let () =
@@ -735,11 +724,10 @@ let () =
       let ( events_per_sec,
             sim_txns,
             shard_pts,
-            (live_txns, live_p50, live_p99),
             (loop_txns, loop_p50, loop_p99),
             frame_ns,
             check_rates,
-            (wal_mb_s, live_fsync, live_group, recovery_ms),
+            (wal_mb_s, loop_fsync, loop_group, recovery_ms),
             (conform_events_s, conform_codec_mb_s) ) =
         run_trajectory ()
       in
@@ -774,20 +762,12 @@ let () =
                          ("cross_shard_aborted", Json.num (float_of_int xa));
                        ])
                    shard_pts) );
-            ( "live",
-              Json.Obj
-                [
-                  ("tob_txns_per_sec", Json.num live_txns);
-                  ("latency_p50_ms", Json.num live_p50);
-                  ("latency_p99_ms", Json.num live_p99);
-                ] );
             ( "live_loop",
               Json.Obj
                 [
                   ("tob_txns_per_sec", Json.num loop_txns);
                   ("latency_p50_ms", Json.num loop_p50);
                   ("latency_p99_ms", Json.num loop_p99);
-                  ("speedup_vs_live", Json.num (loop_txns /. live_txns));
                 ] );
             ("frame", Json.Obj [ ("ns_per_frame", Json.num frame_ns) ]);
             ( "check_schedules_per_sec",
@@ -797,8 +777,8 @@ let () =
               Json.Obj
                 [
                   ("wal_append_mb_per_sec", Json.num wal_mb_s);
-                  ("live_txns_per_sec_fsync_per_commit", Json.num live_fsync);
-                  ("live_txns_per_sec_group_commit_8", Json.num live_group);
+                  ("live_txns_per_sec_fsync_per_commit", Json.num loop_fsync);
+                  ("live_txns_per_sec_group_commit_8", Json.num loop_group);
                   ("recovery_ms_per_10k_records", Json.num recovery_ms);
                 ] );
             ( "conform",

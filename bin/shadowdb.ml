@@ -3,11 +3,10 @@
    `shadowdb run` deploys a replicated database and drives a workload
    against it — on the deterministic simulator (`--runtime sim`, the
    default, optionally crashing a replica mid-run) or as a real cluster
-   of socket-connected nodes on the local machine (`--runtime live` for
-   thread-per-node, `--runtime loop` for the single-reactor event loop
-   with batched sends and backpressure); `shadowdb sql` is a small SQL
-   shell over the embedded storage engine (reads statements from stdin,
-   one per line). *)
+   of socket-connected nodes on the local machine (`--runtime loop`: the
+   single-reactor event loop with batched sends and backpressure);
+   `shadowdb sql` is a small SQL shell over the embedded storage engine
+   (reads statements from stdin, one per line). *)
 
 open Cmdliner
 module Engine = Sim.Engine
@@ -22,10 +21,9 @@ type wl = Bank | Tpcc
 
 let wl_conv = Arg.enum [ ("bank", Bank); ("tpcc", Tpcc) ]
 
-type rt = Rt_sim | Rt_live | Rt_loop
+type rt = Rt_sim | Rt_loop
 
-let rt_conv =
-  Arg.enum [ ("sim", Rt_sim); ("live", Rt_live); ("loop", Rt_loop) ]
+let rt_conv = Arg.enum [ ("sim", Rt_sim); ("loop", Rt_loop) ]
 
 let bank_rows = 10_000
 
@@ -192,9 +190,7 @@ let wire_codec =
 (* Trace meta lets the offline checker rebuild the shadow execution
    environment (workload + seeding) and pick the right monitor set. *)
 let conform_meta ~rt ~wl ~shards ~seed ~clients ~count =
-  let rt_name =
-    match rt with Rt_sim -> "sim" | Rt_live -> "live" | Rt_loop -> "loop"
-  in
+  let rt_name = match rt with Rt_sim -> "sim" | Rt_loop -> "loop" in
   let wl_meta =
     match (wl, shards) with
     | Bank, 1 -> [ ("workload", "bank"); ("rows", string_of_int bank_rows) ]
@@ -321,11 +317,10 @@ let run_sim mode wl shards clients count crash_at seed diverse window trace
   if completed () <> clients || violated then exit 1
 
 (* A real cluster on the local machine: messages are framed Codec bytes
-   over loopback sockets, timers run on the wall clock. `live` hosts
-   every node on its own thread; `loop` multiplexes the whole deployment
-   over one event-loop reactor. Same protocol code as the simulation —
-   only the runtime underneath changes. *)
-let run_socket rt mode wl shards clients count crash_at diverse window trace
+   over loopback sockets, timers run on the wall clock, and the whole
+   deployment is multiplexed over one event-loop reactor. Same protocol
+   code as the simulation — only the runtime underneath changes. *)
+let run_socket mode wl shards clients count crash_at diverse window trace
     monitor =
   (match crash_at with
   | Some _ ->
@@ -333,22 +328,17 @@ let run_socket rt mode wl shards clients count crash_at diverse window trace
   | None -> ());
   let codec = wire_codec in
   let meta =
-    conform_meta ~rt ~wl ~shards ~seed:0 ~clients ~count
+    conform_meta ~rt:Rt_loop ~wl ~shards ~seed:0 ~clients ~count
   in
   let recorder, online, tap = conform_taps ~meta ~trace ~monitor in
-  let d_rt, flavour =
-    match rt with
-    | Rt_loop ->
-        ( Runtime.Driver.loop
-            ~on_backpressure:(fun ~dst ~bytes ->
-              Printf.eprintf
-                "backpressure: outbox to node %d engaged at %d bytes\n%!" dst
-                bytes)
-            ?tap ~codec (),
-          "event-loop reactor" )
-    | Rt_live | Rt_sim -> (Runtime.Driver.live ?tap ~codec (), "thread-per-node")
+  let rt =
+    Runtime.Loop.create
+      ~on_backpressure:(fun ~dst ~bytes ->
+        Printf.eprintf
+          "backpressure: outbox to node %d engaged at %d bytes\n%!" dst bytes)
+      ?tap ~codec ()
   in
-  let world = d_rt.Runtime.Driver.world in
+  let world = Runtime.Loop.runtime rt in
   let d, make_txn = deploy mode wl shards ~window ~diverse ~world in
   let latencies = Stats.Sample.create () in
   let mu = Mutex.create () in
@@ -363,33 +353,30 @@ let run_socket rt mode wl shards clients count crash_at diverse window trace
         Mutex.unlock mu)
       ()
   in
-  Printf.printf "deployment : %s%s, live over loopback TCP (%s)\n" d.describe
-    (if diverse then ", diverse backends (hazel/hickory/dogwood)" else "")
-    flavour;
+  Printf.printf
+    "deployment : %s%s, live over loopback TCP (event-loop reactor)\n"
+    d.describe
+    (if diverse then ", diverse backends (hazel/hickory/dogwood)" else "");
   List.iter
     (fun l ->
       Printf.printf "node       : replica %d on 127.0.0.1:%d\n" l
-        (Option.value ~default:0 (d_rt.Runtime.Driver.port_of l)))
+        (Option.value ~default:0 (Runtime.Loop.port_of rt l)))
     d.replicas;
   Printf.printf "workload   : %d clients x %d txns\n%!" clients count;
   let t0 = Unix.gettimeofday () in
-  d_rt.Runtime.Driver.start ();
+  Runtime.Loop.start rt;
   let finished =
-    d_rt.Runtime.Driver.await ~timeout:300.0 (fun () ->
-        completed () >= clients)
+    Runtime.Loop.await ~timeout:300.0 rt (fun () -> completed () >= clients)
   in
   let elapsed = Unix.gettimeofday () -. t0 in
-  d_rt.Runtime.Driver.stop ();
+  Runtime.Loop.stop rt;
   List.iter
-    (fun e -> Printf.eprintf "live runtime error: %s\n%!" e)
-    (d_rt.Runtime.Driver.errors ());
+    (fun e -> Printf.eprintf "runtime error: %s\n%!" e)
+    (Runtime.Loop.errors rt);
   report ~clients ~completed:(completed ()) ~commits:!commits ~elapsed
     ~latencies ~alive:d.replicas ~d ~unit_label:"wall-clock";
-  (match rt with
-  | Rt_loop ->
-      Printf.printf "backpressure: %d outbox engagements\n"
-        (d_rt.Runtime.Driver.backpressure ())
-  | Rt_live | Rt_sim -> ());
+  Printf.printf "backpressure: %d outbox engagements\n"
+    (Runtime.Loop.backpressure_events rt);
   let violated = conform_finish ~trace recorder online in
   if not finished || violated then exit 1
 
@@ -399,8 +386,8 @@ let run_cluster runtime mode wl shards clients count crash_at seed diverse
   | Rt_sim ->
       run_sim mode wl shards clients count crash_at seed diverse window trace
         monitor
-  | (Rt_live | Rt_loop) as rt ->
-      run_socket rt mode wl shards clients count crash_at diverse window trace
+  | Rt_loop ->
+      run_socket mode wl shards clients count crash_at diverse window trace
         monitor
 
 let sql_shell backend =
@@ -437,9 +424,9 @@ let run_cmd =
       value & opt rt_conv Rt_sim
       & info [ "runtime" ]
           ~doc:
-            "sim (deterministic simulator), live (thread-per-node over \
-             loopback sockets) or loop (single-process event-loop reactor \
-             with batched sends and backpressure).")
+            "sim (deterministic simulator) or loop (the whole cluster over \
+             loopback sockets on a single-process event-loop reactor with \
+             batched sends and backpressure).")
   in
   let mode =
     Arg.(value & opt mode_conv Pbr & info [ "mode" ] ~doc:"pbr, smr or chain.")

@@ -1,13 +1,11 @@
 (* Chaos drill: crash-and-recover a live ShadowDB node under traffic.
 
    Deploys a real 3-node SMR cluster on loopback TCP with file-backed
-   durability (write-ahead log + snapshots per node) — on the
-   thread-per-node runtime (`--runtime live`, the default) or the
-   single-reactor event loop (`--runtime loop`) — drives closed-loop
-   client traffic against it, kills one node mid-run, optionally tears
-   its WAL tail (appending half an encoded record, as an interrupted
-   write would), restarts it, and verifies the recovery contract from
-   the outside:
+   durability (write-ahead log + snapshots per node) on the
+   single-reactor event loop, drives closed-loop client traffic against
+   it, kills one node mid-run, optionally tears its WAL tail (appending
+   half an encoded record, as an interrupted write would), restarts it,
+   and verifies the recovery contract from the outside:
 
    - the victim's recovery report shows a valid snapshot (when one was
      taken) and the torn tail truncated, never replayed;
@@ -18,12 +16,11 @@
      position carries the same fingerprint (post-recovery agreement);
    - the cluster keeps committing throughout.
 
-   Under the loop runtime the drill additionally records the delivery
-   order of every frame (payload digests checked off per (src,dst) link
-   end-to-end through the real wire path) and gates on zero per-link
-   FIFO violations across the crash — keeping the batched data plane
-   honest against the channel assumption the protocols are verified
-   under.
+   The drill also records the delivery order of every frame (payload
+   digests checked off per (src,dst) link end-to-end through the real
+   wire path) and gates on zero per-link FIFO violations across the
+   crash — keeping the batched data plane honest against the channel
+   assumption the protocols are verified under.
 
    The verdict and all measurements are written as a JSON artifact
    (--json) and the exit code is non-zero unless every check passed, so
@@ -126,9 +123,7 @@ type recovery_obs = {
   obs_at : float;  (* wall-clock seconds since drill start *)
 }
 
-type rt = Rt_live | Rt_loop
-
-let run rt clients count group_commit snapshot_every torn data_dir json_path
+let run clients count group_commit snapshot_every torn data_dir json_path
     kill_after =
   let t0 = Unix.gettimeofday () in
   let elapsed () = Unix.gettimeofday () -. t0 in
@@ -138,7 +133,6 @@ let run rt clients count group_commit snapshot_every torn data_dir json_path
     S.wire_codec ~enc_core:Shadowdb.Codec.encode_core_paxos
       ~dec_core:Shadowdb.Codec.decode_core_paxos
   in
-  let rt_name = match rt with Rt_live -> "live" | Rt_loop -> "loop" in
   (* Always-on conformance recording: the drill's whole trace — including
      the crash/restart window — is saved next to the durable state and
      replayed through the LoE spec as one of the verdict's checks. *)
@@ -148,18 +142,14 @@ let run rt clients count group_commit snapshot_every torn data_dir json_path
         [
           ("workload", "bank");
           ("rows", string_of_int bank_rows);
-          ("runtime", rt_name);
+          ("runtime", "loop");
           ("drill", "crash-recover");
         ]
       ()
   in
   let tap = Conform.Recorder.tap recorder ~enc:codec.Runtime.enc in
-  let live =
-    match rt with
-    | Rt_live -> Runtime.Driver.live ~tap ~codec ()
-    | Rt_loop -> Runtime.Driver.loop ~record_delivery:true ~tap ~codec ()
-  in
-  let world = live.Runtime.Driver.world in
+  let rt = Runtime.Loop.create ~record_delivery:true ~tap ~codec () in
+  let world = Runtime.Loop.runtime rt in
   let mu = Mutex.create () in
   let observations = ref [] in
   let durability =
@@ -213,17 +203,16 @@ let run rt clients count group_commit snapshot_every torn data_dir json_path
   in
   let commits_now () = Mutex.lock mu; let c = !commits in Mutex.unlock mu; c in
   Printf.printf
-    "drill      : 3-node SMR over loopback TCP (%s runtime), file-backed WAL\n"
-    rt_name;
+    "drill      : 3-node SMR over loopback TCP (loop runtime), file-backed WAL\n";
   Printf.printf "durability : group-commit %d, snapshot every %d (victim)\n"
     group_commit snapshot_every;
   Printf.printf "workload   : %d clients x %d deposits\n%!" clients count;
-  live.Runtime.Driver.start ();
+  Runtime.Loop.start rt;
   let kill_threshold =
     match kill_after with Some k -> k | None -> clients * count / 3
   in
   let warmed =
-    live.Runtime.Driver.await ~timeout:60.0 (fun () ->
+    Runtime.Loop.await ~timeout:60.0 rt (fun () ->
         commits_now () >= kill_threshold)
   in
   (* Kill the victim mid-traffic, then inspect what its disk holds — the
@@ -231,7 +220,7 @@ let run rt clients count group_commit snapshot_every torn data_dir json_path
   Printf.printf "kill       : node %d after %d commits (%.2fs)\n%!" victim
     (commits_now ()) (elapsed ());
   let killed_at = elapsed () in
-  live.Runtime.Driver.crash nodes.(victim);
+  Runtime.Loop.crash rt nodes.(victim);
   let pre_snap, pre_log = Durable.File.read_dir (node_dir data_dir victim) in
   let torn_injected =
     if torn then begin
@@ -257,7 +246,7 @@ let run rt clients count group_commit snapshot_every torn data_dir json_path
     (if torn then Printf.sprintf " (+%d torn bytes injected)" torn_injected
      else "");
   let restart_at = elapsed () in
-  live.Runtime.Driver.restart nodes.(victim);
+  Runtime.Loop.restart rt nodes.(victim);
   let recovery_of_restart () =
     Mutex.lock mu;
     let o =
@@ -268,19 +257,20 @@ let run rt clients count group_commit snapshot_every torn data_dir json_path
     Mutex.unlock mu;
     o
   in
-  let _ = live.Runtime.Driver.await ~timeout:30.0 (fun () ->
-      recovery_of_restart () <> None)
+  let _ =
+    Runtime.Loop.await ~timeout:30.0 rt (fun () ->
+        recovery_of_restart () <> None)
   in
   let drained =
-    live.Runtime.Driver.await ~timeout:120.0 (fun () -> completed () >= clients)
+    Runtime.Loop.await ~timeout:120.0 rt (fun () -> completed () >= clients)
   in
   let back_at =
     match recovery_of_restart () with Some o -> o.obs_at | None -> nan
   in
-  live.Runtime.Driver.stop ();
+  Runtime.Loop.stop rt;
   List.iter
-    (fun e -> Printf.eprintf "live runtime error: %s\n%!" e)
-    (live.Runtime.Driver.errors ());
+    (fun e -> Printf.eprintf "runtime error: %s\n%!" e)
+    (Runtime.Loop.errors rt);
   (* Conformance: save the recorded trace and replay it through the LoE
      delivery spec plus the invariant monitors. *)
   let trace_path = Filename.concat data_dir "drill.ctrace" in
@@ -337,13 +327,10 @@ let run rt clients count group_commit snapshot_every torn data_dir json_path
               | Some h -> h = rep.Durable.Manager.recovered_hash
               | None -> ridx < 0 );
             ("traffic_drained", drained && warmed);
+            (* The recorded delivery order must show zero per-link FIFO
+               violations across the crash window. *)
+            ("per_link_fifo", Runtime.Loop.fifo_violations rt = 0);
           ]
-          (* Loop runtime only: the recorded delivery order must show
-             zero per-link FIFO violations across the crash window. *)
-          @ (match rt with
-            | Rt_loop ->
-                [ ("per_link_fifo", live.Runtime.Driver.fifo_violations () = 0) ]
-            | Rt_live -> [])
         in
         let r = rep.Durable.Manager.recovered_idx in
         ( checks,
@@ -382,7 +369,7 @@ let run rt clients count group_commit snapshot_every torn data_dir json_path
         ( "config",
           Json.Obj
             [
-              ("runtime", Json.Str rt_name);
+              ("runtime", Json.Str "loop");
               ("clients", Json.int clients);
               ("count", Json.int count);
               ("group_commit", Json.int group_commit);
@@ -426,20 +413,16 @@ let run rt clients count group_commit snapshot_every torn data_dir json_path
               ("ok", Json.Bool conform_ok);
             ] );
         ( "delivery",
-          match rt with
-          | Rt_loop ->
-              let msgs, bytes = live.Runtime.Driver.sent () in
-              Json.Obj
-                [
-                  ("recorded", Json.Bool true);
-                  ("frames_sent", Json.int msgs);
-                  ("bytes_sent", Json.int bytes);
-                  ( "fifo_violations",
-                    Json.int (live.Runtime.Driver.fifo_violations ()) );
-                  ( "backpressure_engagements",
-                    Json.int (live.Runtime.Driver.backpressure ()) );
-                ]
-          | Rt_live -> Json.Obj [ ("recorded", Json.Bool false) ] );
+          let st = Runtime.Loop.stats rt in
+          Json.Obj
+            [
+              ("recorded", Json.Bool true);
+              ("frames_sent", Json.int st.Runtime.Loop.s_sent_msgs);
+              ("bytes_sent", Json.int st.Runtime.Loop.s_sent_bytes);
+              ("fifo_violations", Json.int st.Runtime.Loop.s_fifo_violations);
+              ( "backpressure_engagements",
+                Json.int st.Runtime.Loop.s_backpressure );
+            ] );
         ( "traffic",
           Json.Obj
             [
@@ -468,15 +451,6 @@ let run rt clients count group_commit snapshot_every torn data_dir json_path
   if ok then 0 else 1
 
 let term =
-  let rt =
-    Arg.(
-      value
-      & opt (enum [ ("live", Rt_live); ("loop", Rt_loop) ]) Rt_live
-      & info [ "runtime" ]
-          ~doc:
-            "live (thread-per-node) or loop (single-reactor event loop; \
-             also records delivery order and gates on per-link FIFO).")
-  in
   let clients =
     Arg.(value & opt int 4 & info [ "clients" ] ~doc:"Closed-loop clients.")
   in
@@ -529,7 +503,7 @@ let term =
              the total workload).")
   in
   Term.(
-    const run $ rt $ clients $ count $ group_commit $ snapshot_every $ torn
+    const run $ clients $ count $ group_commit $ snapshot_every $ torn
     $ data_dir $ json $ kill_after)
 
 let () =

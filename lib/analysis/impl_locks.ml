@@ -1,6 +1,6 @@
 (* Lock-discipline pass.
 
-   Both live runtimes guard shared state with one mutex per deployment
+   The socket runtime guards shared state with one mutex per deployment
    and a [locked] helper: [Mutex.lock] then the critical section under
    [Fun.protect ~finally:unlock], so an exception cannot leave the lock
    held. OCaml mutexes are non-reentrant, so a nested acquisition is a

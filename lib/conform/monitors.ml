@@ -1,7 +1,7 @@
 (* Feeding a recorded trace to the lib/check invariant monitors.
 
    The model checker enforces its obligations against simulated
-   schedules; this module gives live and loop executions the same
+   schedules; this module gives socket-runtime executions the same
    obligations by reconstructing monitor observations from the trace:
 
    - TOB total order, gap-freedom, no-duplication — from [Deliver]

@@ -1,6 +1,6 @@
 (* The lightweight online conformance monitor.
 
-   An in-process tap for live/loop clusters that checks, while the
+   An in-process tap for socket clusters that checks, while the
    system runs, the two properties cheap enough to verify inline:
 
    - per-link FIFO: message digests are queued at [Ob_send] and checked

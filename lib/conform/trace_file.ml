@@ -16,16 +16,7 @@ let magic = "SDTR1"
 
 (* -------------------------------- encode ------------------------------ *)
 
-let add_varint b v =
-  let v = (v lsl 1) lxor (v asr 62) in
-  let rec go v =
-    if v land lnot 0x7f = 0 then Buffer.add_char b (Char.chr v)
-    else begin
-      Buffer.add_char b (Char.chr (v land 0x7f lor 0x80));
-      go (v lsr 7)
-    end
-  in
-  go v
+let add_varint = Varint.add
 
 let add_string b s =
   add_varint b (String.length s);
@@ -85,18 +76,13 @@ exception Corrupt of string
 let fail fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt
 
 let get_varint s pos =
-  let len = String.length s in
-  let rec go p shift acc =
-    if p >= len then fail "varint truncated at %d" pos
-    else
-      let byte = Char.code s.[p] in
-      if shift > 62 then fail "overlong varint at %d" pos
-      else
-        let acc = acc lor ((byte land 0x7f) lsl shift) in
-        if byte land 0x80 = 0 then ((acc lsr 1) lxor (-(acc land 1)), p + 1)
-        else go (p + 1) (shift + 7) acc
-  in
-  go pos 0 0
+  let c = { Varint.s; pos } in
+  match Varint.read c with
+  | v -> (v, c.pos)
+  | exception Varint.Malformed Varint.Truncated ->
+      fail "varint truncated at %d" pos
+  | exception Varint.Malformed Varint.Overlong ->
+      fail "overlong varint at %d" pos
 
 let get_string s pos =
   let n, pos = get_varint s pos in

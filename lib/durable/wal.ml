@@ -5,8 +5,9 @@
      [4-byte BE body length] [4-byte BE CRC-32 of body] [body]
 
    with body = varint idx ‖ varint aux ‖ varint hash ‖ varint payload
-   length ‖ payload. Varints are the codec-v2 zigzag LEB128 encoding, so
-   negative sentinels and full-range state hashes round-trip. [idx] is
+   length ‖ payload. Varints are the shared zigzag LEB128 encoding
+   ({!Varint}), so negative sentinels and full-range state hashes
+   round-trip. [idx] is
    the record's position in the replicated total order, [aux] a
    caller-owned companion counter (ShadowDB stores the replica's
    delivered-entry count), [hash] the state fingerprint after applying
@@ -24,49 +25,29 @@ type record = { idx : int; aux : int; hash : int; payload : string }
 
 let max_body = 256 * 1024 * 1024
 
-(* Zigzag LEB128, identical format to Shadowdb.Codec. *)
-let add_varint buf n =
-  let u = ref ((n lsl 1) lxor (n asr 62)) in
-  while !u lsr 7 <> 0 do
-    Buffer.add_char buf (Char.chr (0x80 lor (!u land 0x7f)));
-    u := !u lsr 7
-  done;
-  Buffer.add_char buf (Char.chr !u)
-
-(* Reads a varint at [!pos]; None on truncation/overflow. *)
-let read_varint s pos =
-  let n = String.length s in
-  let rec go acc shift =
-    if !pos >= n || shift > 62 then None
-    else begin
-      let b = Char.code s.[!pos] in
-      incr pos;
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then Some ((acc lsr 1) lxor (-(acc land 1)))
-      else go acc (shift + 7)
-    end
-  in
-  go 0 0
-
 let encode_body r =
   let buf = Buffer.create (String.length r.payload + 24) in
-  add_varint buf r.idx;
-  add_varint buf r.aux;
-  add_varint buf r.hash;
-  add_varint buf (String.length r.payload);
+  Varint.add buf r.idx;
+  Varint.add buf r.aux;
+  Varint.add buf r.hash;
+  Varint.add buf (String.length r.payload);
   Buffer.add_string buf r.payload;
   Buffer.contents buf
 
+(* None on a truncated or overlong varint, or a payload length that does
+   not end exactly at the end of the body. *)
 let decode_body s =
-  let pos = ref 0 in
-  match (read_varint s pos, read_varint s pos, read_varint s pos) with
-  | Some idx, Some aux, Some hash -> (
-      match read_varint s pos with
-      | Some plen
-        when plen >= 0 && !pos + plen = String.length s ->
-          Some { idx; aux; hash; payload = String.sub s !pos plen }
-      | _ -> None)
+  let c = { Varint.s; pos = 0 } in
+  match
+    let idx = Varint.read c in
+    let aux = Varint.read c in
+    let hash = Varint.read c in
+    (idx, aux, hash, Varint.read c)
+  with
+  | idx, aux, hash, plen when plen >= 0 && c.pos + plen = String.length s ->
+      Some { idx; aux; hash; payload = String.sub s c.pos plen }
   | _ -> None
+  | exception Varint.Malformed _ -> None
 
 let encode_record r =
   let body = encode_body r in

@@ -1,16 +1,16 @@
 (* The event-loop runtime: every node of a deployment multiplexed over
    one reactor.
 
-   Where {!Live} gives each node a thread and a syscall per message, this
-   runtime runs the whole deployment single-process on one reactor
-   thread: all listeners, inbound connections and outbound sockets sit in
-   a single [Unix.select], the timeout computed from the root of a timer
-   wheel of pending node timers (no fixed tick), and sends go through
-   bounded per-destination {!Outbox}es of already-encoded {!Frame}s that
-   are flushed as one coalesced batch per readiness event. Protocol code
-   is unchanged: the same wire path (codec encode → framed byte stream →
-   codec decode) as {!Live}, minus the thread switches and per-frame
-   syscalls.
+   This is the one socket runtime. The whole deployment runs
+   single-process on one reactor thread: all listeners, inbound
+   connections and outbound sockets sit in a single [Unix.select], the
+   timeout computed from the root of a timer wheel of pending node
+   timers (no fixed tick), and sends go through bounded per-destination
+   {!Outbox}es of already-encoded {!Frame}s that are flushed as one
+   coalesced batch per readiness event. Protocol code
+   is unchanged from the simulator ({!Of_sim}): every message takes the
+   real wire path (codec encode → framed byte stream → codec decode),
+   with no thread switches and no per-frame syscalls.
 
    Delivery is sink-polymorphic. A destination that lives in this
    process (the common case — the whole deployment does) gets a *local*
@@ -373,7 +373,7 @@ let park t mux node =
 let find_node t id = locked t (fun () -> Hashtbl.find_opt t.by_id id)
 
 (* Dispatch an input to a node's handler, trapping handler exceptions
-   like {!Live} does. Mutually recursive with the send path because
+   into {!errors}. Mutually recursive with the send path because
    unparking resumes deferred dispatches. *)
 let rec dispatch t node input =
   match node.n_handler with
@@ -854,8 +854,7 @@ let spawn t ~name ~cpu_factor:_ factory =
 
 let runtime t : 'm Core.t =
   {
-    Core.rt_kind = Core.Loop;
-    rt_now = (fun () -> now t);
+    Core.rt_now = (fun () -> now t);
     rt_spawn =
       (fun ~name ~cpu_factor factory -> spawn t ~name ~cpu_factor factory);
   }
@@ -903,7 +902,7 @@ let stop t =
 
 (* Run a crash/restart command: synchronously when the reactor is not
    running, else enqueued and awaited so the caller observes a quiesced
-   node (mirroring {!Live.crash}'s join semantics). *)
+   node: once [crash] returns, the node dispatches nothing more. *)
 let submit t cmd =
   if Atomic.get t.phase <> 1 then apply_cmd t cmd
   else begin

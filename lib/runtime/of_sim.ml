@@ -30,8 +30,7 @@ let ctx (ectx : 'm E.ctx) : 'm Core.ctx =
    unobserved one does. *)
 let of_engine ?(tap : 'm Core.tap option) (e : 'm E.t) : 'm Core.t =
   {
-    Core.rt_kind = Core.Sim;
-    rt_now = (fun () -> E.now e);
+    Core.rt_now = (fun () -> E.now e);
     rt_spawn =
       (fun ~name ~cpu_factor factory ->
         E.spawn e ~name ~cpu_factor (fun () ->

@@ -1,16 +1,14 @@
 (** Runtime-polymorphic process layer.
 
-    One protocol implementation, several execution substrates: handlers
+    One protocol implementation, two execution substrates: handlers
     written against this module's capability records run unchanged on the
     deterministic simulator ({!Of_sim}, preserving byte-identical
-    same-seed traces and the model checker's scheduler hook) and on real
-    socket deployments — {!Live} (one thread + TCP listener per node,
-    wall-clock timers) and {!Loop} (the whole deployment multiplexed over
-    a single event-loop reactor with batched zero-copy sends and
-    watermark backpressure). {!Frame} and {!Outbox} are the shared wire
-    framing and bounded send-queue building blocks; {!Driver} is a
-    uniform handle over the socket runtimes so harnesses select one at
-    run time. {!Proc} is the generic process shell that adapts pure
+    same-seed traces and the model checker's scheduler hook) and on a
+    real socket deployment, {!Loop} (the whole deployment multiplexed
+    over a single event-loop reactor with batched zero-copy sends and
+    watermark backpressure, wall-clock timers). {!Frame} and {!Outbox}
+    are its wire framing and bounded send-queue building blocks. {!Proc}
+    is the generic process shell that adapts pure
     [state × input → state × actions] machines — and imperative
     processes — to any runtime instance. *)
 
@@ -19,6 +17,4 @@ module Proc = Proc
 module Of_sim = Of_sim
 module Frame = Frame
 module Outbox = Outbox
-module Live = Live
 module Loop = Loop
-module Driver = Driver

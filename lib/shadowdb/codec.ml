@@ -8,8 +8,8 @@ module Value = Storage.Value
    batch is O(bytes), not O(bytes²).
 
    Primitives:
-   - ints: zigzag-mapped LEB128 varints (1 byte for small magnitudes,
-     self-delimiting, so any truncation mid-int is detected);
+   - ints: zigzag-mapped LEB128 varints ({!Varint}; 1 byte for small
+     magnitudes, self-delimiting, so any truncation mid-int is detected);
    - strings: varint byte-length followed by the raw bytes;
    - floats: 8-byte little-endian IEEE 754 bit patterns (exact);
    - constructors: one ASCII tag byte, kept from v1 for debuggability.
@@ -22,7 +22,7 @@ exception Bad of string
 
 let bad msg = raise (Bad msg)
 
-type cur = { s : string; mutable pos : int }
+type cur = Varint.cursor = { s : string; mutable pos : int }
 
 let cur s = { s; pos = 0 }
 let remaining c = String.length c.s - c.pos
@@ -36,26 +36,12 @@ let read_char c =
     ch
   end
 
-(* Zigzag folds the sign into the low bit so small negative ints stay
-   short; [asr 62] is the sign fill of OCaml's 63-bit native int. *)
-let add_varint buf n =
-  let u = ref ((n lsl 1) lxor (n asr 62)) in
-  while !u lsr 7 <> 0 do
-    Buffer.add_char buf (Char.chr (0x80 lor (!u land 0x7f)));
-    u := !u lsr 7
-  done;
-  Buffer.add_char buf (Char.chr !u)
+let add_varint = Varint.add
 
 let read_varint c =
-  let acc = ref 0 and shift = ref 0 and cont = ref true in
-  while !cont do
-    if !shift >= 63 then bad "varint too long";
-    let b = Char.code (read_char c) in
-    acc := !acc lor ((b land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    if b land 0x80 = 0 then cont := false
-  done;
-  (!acc lsr 1) lxor - (!acc land 1)
+  try Varint.read c with
+  | Varint.Malformed Varint.Truncated -> bad "truncated input"
+  | Varint.Malformed Varint.Overlong -> bad "varint too long"
 
 let add_str buf s =
   add_varint buf (String.length s);
@@ -199,7 +185,7 @@ let decode_reconfig s =
     s
 
 (* ------------------------------------------------------------------ *)
-(* Live-runtime wire codecs                                            *)
+(* Socket-runtime wire codecs                                          *)
 (*                                                                     *)
 (* Once a ShadowDB node runs behind a real socket, every message the   *)
 (* simulator used to pass by reference has to cross the wire: TOB      *)

@@ -96,7 +96,7 @@ module Make (C : Consensus.Consensus_intf.S) = struct
 
   (* Wire format for the whole system: broadcast-service traffic, delivery
      notifications and database replication messages share one socket per
-     link on the live runtime. [enc_core]/[dec_core] serialize the
+     link on the socket runtime. [enc_core]/[dec_core] serialize the
      consensus core's protocol messages — for Paxos over TOB batches use
      {!Codec.encode_core_paxos} / {!Codec.decode_core_paxos}. *)
   let wire_codec ~enc_core ~dec_core : wire R.codec =
@@ -124,7 +124,7 @@ module Make (C : Consensus.Consensus_intf.S) = struct
     { R.enc; dec }
 
   (* Replica registries back the [*_of] observers of a cluster handle.
-     Node handlers fill them in — from runtime threads, on the live
+     Node handlers fill them in — from the reactor thread, on the socket
      runtime — while the spawning thread reads them, so access is
      serialized by a mutex. *)
   module Registry = struct

@@ -225,6 +225,40 @@ let test_garbage_rejected () =
       "S\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff" (* overlong varint *);
     ]
 
+(* The shared varint primitive at its limits: the extreme ints take the
+   full nine bytes and round-trip, every proper prefix is [Truncated], a
+   tenth byte is [Overlong] — and the codec rejects what it rejects. *)
+let test_varint_bounds () =
+  let malformed s =
+    match Varint.read { Varint.s; pos = 0 } with
+    | _ -> None
+    | exception Varint.Malformed e -> Some e
+  in
+  List.iter
+    (fun n ->
+      let b = Buffer.create 9 in
+      Varint.add b n;
+      let s = Buffer.contents b in
+      Alcotest.(check int) (Printf.sprintf "%d round-trips" n) n
+        (Varint.read { Varint.s; pos = 0 });
+      for cut = 0 to String.length s - 1 do
+        Alcotest.(check bool)
+          (Printf.sprintf "%d cut at %d is truncated" n cut)
+          true
+          (malformed (String.sub s 0 cut) = Some Varint.Truncated)
+      done)
+    [ 0; -1; 63; -64; 64; max_int; min_int ];
+  let b = Buffer.create 9 in
+  Varint.add b max_int;
+  Alcotest.(check int) "max_int takes nine bytes" 9 (Buffer.length b);
+  let ten = String.make 9 '\xff' ^ "\x01" in
+  Alcotest.(check bool) "tenth byte is overlong" true
+    (malformed ten = Some Varint.Overlong);
+  Alcotest.(check bool) "codec accepts a nine-byte int" true
+    (Codec.decode_value ("I" ^ Buffer.contents b) = Ok (Value.Int max_int, ""));
+  Alcotest.(check bool) "codec rejects a ten-byte int" true
+    (Result.is_error (Codec.decode_value ("I" ^ ten)))
+
 (* ------------------------------------------------------------------ *)
 (* Golden vectors: exact encoded bytes for fixed messages. These catch  *)
 (* silent format drift — any change to the v2 wire layout must be       *)
@@ -321,6 +355,7 @@ let () =
           qt prop_db_truncation;
           qt prop_deliver_truncation;
           Alcotest.test_case "garbage rejected" `Quick test_garbage_rejected;
+          Alcotest.test_case "varint bounds" `Quick test_varint_bounds;
         ] );
       ( "golden",
         [

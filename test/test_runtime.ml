@@ -2,15 +2,15 @@
 
    The same handlers — written once against the Runtime capability
    records — must behave identically whether hosted on the deterministic
-   simulator (Of_sim), on the thread-per-node live socket runtime (Live),
-   or on the single-reactor event-loop runtime (Loop). The suite
-   exercises the generic process shell on all substrates, checks Of_sim
-   keeps the simulator deterministic, runs the acceptance scenario — a
-   3-node Paxos-backed SMR bank cluster with ≥100 transactions
-   end-to-end, wall-clock p50/p99 — on both socket runtimes, drills
-   crash/restart and outbox saturation (backpressure, bounded memory,
-   no loss, per-link FIFO) under the loop runtime, and finishes with the
-   cross-runtime conformance check: the same workload on Live and Loop
+   simulator (Of_sim) or on the single-reactor event-loop socket runtime
+   (Loop). The suite exercises the generic process shell on both
+   substrates, checks Of_sim keeps the simulator deterministic, runs the
+   acceptance scenario — a 3-node Paxos-backed SMR bank cluster with
+   ≥100 transactions end-to-end, wall-clock p50/p99 — on the loop
+   runtime, drills crash/restart and outbox saturation (backpressure,
+   bounded memory, no loss, per-link FIFO), and finishes with the
+   cross-transport conformance checks: the same workload with in-process
+   delivery and over real TCP sockets (and, recorded, on the simulator)
    must commit to identical database fingerprints. *)
 
 module R = Runtime
@@ -92,63 +92,45 @@ let int_codec =
         | None -> Error ("bad int frame: " ^ s));
   }
 
-(* The very same handlers, hosted on real sockets. *)
-let test_proc_pingpong_live () =
-  let live = R.Live.create ~codec:int_codec () in
-  let world = R.Live.runtime live in
-  let echo_count = Atomic.make 0 in
-  let final = Atomic.make (-1) in
-  let _ =
-    spawn_pingpong world ~limit:10 ~echo_count ~on_reply:(fun _ n ->
-        if n >= 10 then Atomic.set final n)
-  in
-  R.Live.start live;
-  let ok = R.Live.await ~timeout:30.0 live (fun () -> Atomic.get final >= 0) in
-  R.Live.stop live;
-  Alcotest.(check (list string)) "no runtime errors" [] (R.Live.errors live);
-  Alcotest.(check bool) "exchange finished" true ok;
-  Alcotest.(check int) "final reply" 10 (Atomic.get final);
-  Alcotest.(check int) "echo handled every message" 10 (Atomic.get echo_count)
-
-(* The same exchange again, on the event-loop runtime through the
-   uniform driver handle. [~direct:false] forces socket sinks for every
-   destination, covering the reactor's TCP flush/accept/read path (the
-   other loop tests run the default direct local delivery). *)
+(* The very same handlers, hosted on real sockets: [~direct:false]
+   forces socket sinks for every destination, covering the reactor's TCP
+   flush/accept/read path (most other loop tests run the default direct
+   local delivery). *)
 let test_proc_pingpong_loop () =
-  let d = R.Driver.loop ~direct:false ~record_delivery:true ~codec:int_codec () in
+  let rt = R.Loop.create ~direct:false ~record_delivery:true ~codec:int_codec () in
   let echo_count = Atomic.make 0 in
   let final = Atomic.make (-1) in
   let _ =
-    spawn_pingpong d.R.Driver.world ~limit:10 ~echo_count ~on_reply:(fun _ n ->
-        if n >= 10 then Atomic.set final n)
+    spawn_pingpong (R.Loop.runtime rt) ~limit:10 ~echo_count
+      ~on_reply:(fun _ n -> if n >= 10 then Atomic.set final n)
   in
-  d.R.Driver.start ();
-  let ok = d.R.Driver.await ~timeout:30.0 (fun () -> Atomic.get final >= 0) in
-  d.R.Driver.stop ();
-  Alcotest.(check (list string)) "no runtime errors" [] (d.R.Driver.errors ());
+  R.Loop.start rt;
+  let ok = R.Loop.await ~timeout:30.0 rt (fun () -> Atomic.get final >= 0) in
+  R.Loop.stop rt;
+  Alcotest.(check (list string)) "no runtime errors" [] (R.Loop.errors rt);
   Alcotest.(check bool) "exchange finished" true ok;
   Alcotest.(check int) "final reply" 10 (Atomic.get final);
   Alcotest.(check int) "echo handled every message" 10 (Atomic.get echo_count);
-  Alcotest.(check int) "per-link FIFO clean" 0 (d.R.Driver.fifo_violations ())
+  Alcotest.(check int) "per-link FIFO clean" 0 (R.Loop.fifo_violations rt)
 
 (* ------------------------------------------------------------------ *)
 (* Acceptance: a 3-node Paxos-backed SMR bank cluster over loopback
    TCP — ≥100 transactions end-to-end, state agreement across the
-   executing replicas, wall-clock p50/p99 — on either socket runtime
-   through the uniform driver handle.                                   *)
+   executing replicas, wall-clock p50/p99 — on the loop runtime.      *)
 (* ------------------------------------------------------------------ *)
 
 let smr_codec () =
   S.wire_codec ~enc_core:Shadowdb.Codec.encode_core_paxos
     ~dec_core:Shadowdb.Codec.decode_core_paxos
 
-(* Run the bank workload on [d] and return (commits, per-replica content
-   hashes of the executing replicas, elapsed seconds, latency sample).
+(* Run the bank workload on [rt] and return (commits, content hash of
+   the executing replica with the highest delivery sequence number).
    Asserts completion, no runtime errors, and replica state agreement. *)
-let run_smr_bank (d : _ R.Driver.t) ~label ~clients ~count =
+let run_smr_bank rt ~label ~clients ~count =
   let rows = 1_000 in
+  let world = R.Loop.runtime rt in
   let cluster =
-    S.spawn_smr ~world:d.R.Driver.world ~registry:Workload.Bank.registry
+    S.spawn_smr ~world ~registry:Workload.Bank.registry
       ~setup:(fun db -> Workload.Bank.setup ~rows db)
       ~n_active:2 ()
   in
@@ -158,7 +140,7 @@ let run_smr_bank (d : _ R.Driver.t) ~label ~clients ~count =
       Alcotest.(check bool)
         (Printf.sprintf "node %d has a bound port" l)
         true
-        (d.R.Driver.port_of l <> None))
+        (R.Loop.port_of rt l <> None))
     cluster.S.smr_nodes;
   let mu = Mutex.create () in
   let commits = ref 0 in
@@ -169,7 +151,7 @@ let run_smr_bank (d : _ R.Driver.t) ~label ~clients ~count =
     else Workload.Bank.deposit ~account ~amount:(1 + (seq mod 9))
   in
   let _, completed =
-    S.spawn_clients ~world:d.R.Driver.world ~target:(S.To_smr cluster)
+    S.spawn_clients ~world ~target:(S.To_smr cluster)
       ~n:clients ~count ~make_txn ~retry_timeout:2.0
       ~on_commit:(fun _now l ->
         Mutex.lock mu;
@@ -179,13 +161,13 @@ let run_smr_bank (d : _ R.Driver.t) ~label ~clients ~count =
       ()
   in
   let t0 = Unix.gettimeofday () in
-  d.R.Driver.start ();
+  R.Loop.start rt;
   let finished =
-    d.R.Driver.await ~timeout:120.0 (fun () -> completed () >= clients)
+    R.Loop.await ~timeout:120.0 rt (fun () -> completed () >= clients)
   in
   let elapsed = Unix.gettimeofday () -. t0 in
-  d.R.Driver.stop ();
-  Alcotest.(check (list string)) "no runtime errors" [] (d.R.Driver.errors ());
+  R.Loop.stop rt;
+  Alcotest.(check (list string)) "no runtime errors" [] (R.Loop.errors rt);
   Alcotest.(check bool) "all clients finished" true finished;
   Alcotest.(check int) "clients completed" clients (completed ());
   Printf.printf
@@ -208,21 +190,17 @@ let run_smr_bank (d : _ R.Driver.t) ~label ~clients ~count =
   | h :: t ->
       Alcotest.(check bool) "state agreement" true (List.for_all (( = ) h) t)
   | [] -> Alcotest.fail "no replica executed");
-  (!commits, hashes, elapsed, latencies)
-
-let test_live_smr_bank () =
-  let d = R.Driver.live ~codec:(smr_codec ()) () in
-  let clients = 4 and count = 30 in
-  let commits, _, _, _ = run_smr_bank d ~label:"live" ~clients ~count in
-  Alcotest.(check bool)
-    (Printf.sprintf "at least 100 transactions committed (got %d)" commits)
-    true
-    (commits >= 100 && commits <= clients * count)
+  let top =
+    List.fold_left
+      (fun a l -> if cluster.S.smr_gseq_of l > cluster.S.smr_gseq_of a then l else a)
+      (List.hd executed) executed
+  in
+  (!commits, cluster.S.smr_hash_of top)
 
 let test_loop_smr_bank () =
-  let d = R.Driver.loop ~codec:(smr_codec ()) () in
+  let rt = R.Loop.create ~codec:(smr_codec ()) () in
   let clients = 4 and count = 30 in
-  let commits, _, _, _ = run_smr_bank d ~label:"loop" ~clients ~count in
+  let commits, _ = run_smr_bank rt ~label:"loop" ~clients ~count in
   Alcotest.(check bool)
     (Printf.sprintf "at least 100 transactions committed (got %d)" commits)
     true
@@ -373,38 +351,38 @@ let test_loop_outbox_saturation () =
     true
     (st.R.Loop.s_flush_writes * 2 <= st.R.Loop.s_sent_msgs)
 
-(* Cross-runtime conformance: the same deterministic closed-loop bank
-   workload on the thread-per-node and event-loop runtimes must commit to
-   identical database content fingerprints (TOB agreement end-to-end;
-   commutativity of the deposit set makes the fingerprint schedule-
-   independent, and duplicate suppression makes it retry-independent). *)
-let test_runtime_conformance () =
+(* Cross-transport conformance: the same deterministic closed-loop bank
+   workload with in-process delivery ([~direct:true]) and over real TCP
+   socket sinks ([~direct:false]) must commit to identical database
+   content fingerprints (TOB agreement end-to-end; commutativity of the
+   deposit set makes the fingerprint schedule-independent, and duplicate
+   suppression makes it retry-independent). *)
+let test_transport_conformance () =
   let clients = 3 and count = 20 in
-  let _, live_hashes, _, _ =
-    run_smr_bank
-      (R.Driver.live ~codec:(smr_codec ()) ())
-      ~label:"conformance/live" ~clients ~count
+  let leg ~direct label =
+    let rt =
+      R.Loop.create ~direct ~record_delivery:true ~codec:(smr_codec ()) ()
+    in
+    let _, hash = run_smr_bank rt ~label ~clients ~count in
+    Alcotest.(check int) (label ^ " per-link FIFO clean") 0
+      (R.Loop.fifo_violations rt);
+    hash
   in
-  let d = R.Driver.loop ~record_delivery:true ~codec:(smr_codec ()) () in
-  let _, loop_hashes, _, _ =
-    run_smr_bank d ~label:"conformance/loop" ~clients ~count
-  in
-  Alcotest.(check int) "loop per-link FIFO clean" 0
-    (d.R.Driver.fifo_violations ());
-  match (live_hashes, loop_hashes) with
-  | lh :: _, ph :: _ ->
-      Alcotest.(check bool)
-        (Printf.sprintf "identical committed-state fingerprints (%d vs %d)" lh
-           ph)
-        true (lh = ph)
-  | _ -> Alcotest.fail "a runtime produced no executed replicas"
+  let direct = leg ~direct:true "conformance/direct" in
+  let socket = leg ~direct:false "conformance/socket" in
+  Alcotest.(check bool)
+    (Printf.sprintf "identical committed-state fingerprints (%d vs %d)" direct
+       socket)
+    true (direct = socket)
 
 (* Recorded cross-runtime differential: the same seeded bank workload on
-   all three runtimes, each run recorded through the conformance tap;
-   every trace must replay clean through the LoE spec and the invariant
-   monitors, and the most-advanced replica's final state fingerprint must
-   be identical across sim, live and loop (the deposit set is determined
-   by (client, seq), so the committed state is schedule-independent). *)
+   the simulator and on the loop runtime over both transports (direct
+   in-process delivery and TCP socket sinks), each run recorded through
+   the conformance tap; every trace must replay clean through the LoE
+   spec and the invariant monitors, and the most-advanced replica's final
+   state fingerprint must be identical across all three legs (the
+   deposit set is determined by (client, seq), so the committed state is
+   schedule-independent). *)
 
 let final_fingerprint events =
   List.fold_left
@@ -428,39 +406,29 @@ let test_recorded_differential () =
   let sim_meta = Conform.Recorder.meta sim.Conform.Record.recorder in
   Alcotest.(check bool) "sim trace conformant" true
     (Conform.Record.conformant ~meta:sim_meta sim_events);
-  (* Live and loop legs: the acceptance harness with a recorder tapped
-     into the driver. *)
-  let record_leg rt_name make_driver =
+  (* Loop legs: the acceptance harness with a recorder tapped into the
+     runtime. *)
+  let record_leg ~direct label =
     let meta =
-      [
-        ("workload", "bank");
-        ("rows", string_of_int rows);
-        ("runtime", rt_name);
-      ]
+      [ ("workload", "bank"); ("rows", string_of_int rows); ("runtime", "loop") ]
     in
     let r = Conform.Recorder.create ~meta () in
     let tap = Conform.Recorder.tap r ~enc:(smr_codec ()).R.enc in
-    let d = make_driver tap in
-    let _ =
-      run_smr_bank d ~label:("differential/" ^ rt_name) ~clients ~count
-    in
+    let rt = R.Loop.create ~direct ~tap ~codec:(smr_codec ()) () in
+    let _ = run_smr_bank rt ~label:("differential/" ^ label) ~clients ~count in
     let events = Conform.Recorder.events r in
     Alcotest.(check bool)
-      (rt_name ^ " trace conformant")
+      (label ^ " trace conformant")
       true
       (Conform.Record.conformant ~meta events);
     events
   in
-  let live_events =
-    record_leg "live" (fun tap -> R.Driver.live ~tap ~codec:(smr_codec ()) ())
-  in
-  let loop_events =
-    record_leg "loop" (fun tap -> R.Driver.loop ~tap ~codec:(smr_codec ()) ())
-  in
+  let direct_events = record_leg ~direct:true "direct" in
+  let socket_events = record_leg ~direct:false "socket" in
   match
     ( final_fingerprint sim_events,
-      final_fingerprint live_events,
-      final_fingerprint loop_events )
+      final_fingerprint direct_events,
+      final_fingerprint socket_events )
   with
   | Some (_, a), Some (_, b), Some (_, c) ->
       Alcotest.(check bool)
@@ -480,13 +448,6 @@ let () =
           Alcotest.test_case "Of_sim is deterministic" `Quick
             test_of_sim_deterministic;
         ] );
-      ( "live",
-        [
-          Alcotest.test_case "ping-pong over loopback TCP" `Quick
-            test_proc_pingpong_live;
-          Alcotest.test_case "3-node SMR bank cluster, 120 txns" `Slow
-            test_live_smr_bank;
-        ] );
       ( "loop",
         [
           Alcotest.test_case "ping-pong on the event loop" `Quick
@@ -497,13 +458,14 @@ let () =
             test_loop_crash_restart;
           Alcotest.test_case "outbox saturation: backpressure, no loss"
             `Quick test_loop_outbox_saturation;
-          Alcotest.test_case "live vs loop committed-state conformance" `Slow
-            test_runtime_conformance;
+          Alcotest.test_case "direct vs socket committed-state conformance"
+            `Slow test_transport_conformance;
         ] );
       ( "conform",
         [
           Alcotest.test_case
-            "recorded sim/live/loop traces replay clean, fingerprints agree"
+            "recorded sim/direct/socket traces replay clean, fingerprints \
+             agree"
             `Slow test_recorded_differential;
         ] );
     ]
