@@ -7,12 +7,12 @@
    with body = varint idx ‖ varint aux ‖ varint hash ‖ varint payload
    length ‖ payload. Varints are the shared zigzag LEB128 encoding
    ({!Varint}), so negative sentinels and full-range state hashes
-   round-trip. [idx] is
-   the record's position in the replicated total order, [aux] a
-   caller-owned companion counter (ShadowDB stores the replica's
-   delivered-entry count), [hash] the state fingerprint after applying
-   the record, [payload] opaque bytes (this layer never interprets them,
-   which keeps the dependency direction durable ← shadowdb acyclic).
+   round-trip. [idx] is the record's position in the replicated total
+   order, [aux] a caller-owned companion counter (ShadowDB stores the
+   replica's delivered-entry count), [hash] the state fingerprint after
+   applying the record, [payload] opaque bytes (this layer never
+   interprets them, which keeps the dependency direction durable ←
+   shadowdb acyclic).
 
    [scan] walks a raw log image and stops at the first frame that is
    short, oversized, or fails its CRC: everything before is the valid

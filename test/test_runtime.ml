@@ -97,7 +97,9 @@ let int_codec =
    flush/accept/read path (most other loop tests run the default direct
    local delivery). *)
 let test_proc_pingpong_loop () =
-  let rt = R.Loop.create ~direct:false ~record_delivery:true ~codec:int_codec () in
+  let rt =
+    R.Loop.create ~direct:false ~record_delivery:true ~codec:int_codec ()
+  in
   let echo_count = Atomic.make 0 in
   let final = Atomic.make (-1) in
   let _ =
@@ -190,9 +192,10 @@ let run_smr_bank rt ~label ~clients ~count =
   | h :: t ->
       Alcotest.(check bool) "state agreement" true (List.for_all (( = ) h) t)
   | [] -> Alcotest.fail "no replica executed");
+  let gseq = cluster.S.smr_gseq_of in
   let top =
     List.fold_left
-      (fun a l -> if cluster.S.smr_gseq_of l > cluster.S.smr_gseq_of a then l else a)
+      (fun a l -> if gseq l > gseq a then l else a)
       (List.hd executed) executed
   in
   (!commits, cluster.S.smr_hash_of top)
