@@ -61,7 +61,8 @@ type deployed = {
   replicas : int list;
   gseq_of : int -> int;
   hash_of : int -> int;
-  agreement : int list -> bool;  (* over the still-alive replicas *)
+  executes : int -> bool;  (* false for an SMR spare, which only orders *)
+  agreement : int list -> bool;  (* over the alive, executing replicas *)
   extra : unit -> (string * string) list;  (* extra report lines *)
 }
 
@@ -86,6 +87,7 @@ let spawn_cluster mode ~window ~read_kinds ~backends ~world ~registry ~setup =
         replicas = c.S.pbr_replicas;
         gseq_of = c.S.pbr_gseq_of;
         hash_of = c.S.pbr_hash_of;
+        executes = (fun _ -> true);
         agreement =
           flat_agreement ~gseq_of:c.S.pbr_gseq_of ~hash_of:c.S.pbr_hash_of;
         extra = (fun () -> []);
@@ -101,6 +103,7 @@ let spawn_cluster mode ~window ~read_kinds ~backends ~world ~registry ~setup =
         replicas = c.S.pbr_replicas;
         gseq_of = c.S.pbr_gseq_of;
         hash_of = c.S.pbr_hash_of;
+        executes = (fun _ -> true);
         agreement =
           flat_agreement ~gseq_of:c.S.pbr_gseq_of ~hash_of:c.S.pbr_hash_of;
         extra = (fun () -> []);
@@ -116,6 +119,7 @@ let spawn_cluster mode ~window ~read_kinds ~backends ~world ~registry ~setup =
         replicas = c.S.smr_nodes;
         gseq_of = c.S.smr_gseq_of;
         hash_of = c.S.smr_hash_of;
+        executes = c.S.smr_active_of;
         agreement =
           flat_agreement ~gseq_of:c.S.smr_gseq_of ~hash_of:c.S.smr_hash_of;
         extra = (fun () -> []);
@@ -157,6 +161,7 @@ let spawn_sharded_cluster ~shards ~window ~backends ~world =
     replicas = List.filter (fun l -> l <> c.S.sh_coord) c.S.sh_nodes;
     gseq_of;
     hash_of;
+    executes = (fun l -> (group_of l).S.smr_active_of l);
     agreement;
     extra =
       (fun () ->
@@ -249,8 +254,11 @@ let backends_of diverse =
     [ Storage.Store.Hazel; Storage.Store.Hickory; Storage.Store.Dogwood ]
   else [ Storage.Store.Hazel ]
 
+(* Prints the run summary and returns whether the executing replicas
+   agree. *)
 let report ~clients ~completed ~commits ~elapsed ~latencies ~alive ~d
     ~unit_label =
+  let alive = List.filter d.executes alive in
   Printf.printf "completed  : %d/%d clients\n" completed clients;
   Printf.printf "committed  : %d txns in %.3f s %s\n" commits elapsed
     unit_label;
@@ -264,7 +272,9 @@ let report ~clients ~completed ~commits ~elapsed ~latencies ~alive ~d
     (String.concat "," (List.map string_of_int alive))
     (String.concat "/" (List.map (fun l -> string_of_int (d.gseq_of l)) alive));
   List.iter (fun (k, v) -> Printf.printf "%-11s: %s\n" k v) (d.extra ());
-  Printf.printf "agreement  : %b\n" (d.agreement alive)
+  let agreed = d.agreement alive in
+  Printf.printf "agreement  : %b\n" agreed;
+  agreed
 
 let deploy mode wl shards ~window ~diverse ~world =
   let backends = backends_of diverse in
@@ -311,10 +321,12 @@ let run_sim mode wl shards clients count crash_at seed diverse window trace
   Printf.printf "workload   : %d clients x %d txns\n%!" clients count;
   Engine.run ~until:3600.0 ~max_events:500_000_000 world;
   let alive = List.filter (Engine.is_alive world) d.replicas in
-  report ~clients ~completed:(completed ()) ~commits:!commits ~elapsed:!last
-    ~latencies ~alive ~d ~unit_label:"virtual";
+  let agreed =
+    report ~clients ~completed:(completed ()) ~commits:!commits
+      ~elapsed:!last ~latencies ~alive ~d ~unit_label:"virtual"
+  in
   let violated = conform_finish ~trace recorder online in
-  if completed () <> clients || violated then exit 1
+  if completed () <> clients || violated || not agreed then exit 1
 
 (* A real cluster on the local machine: messages are framed Codec bytes
    over loopback sockets, timers run on the wall clock, and the whole
@@ -373,12 +385,14 @@ let run_socket mode wl shards clients count crash_at diverse window trace
   List.iter
     (fun e -> Printf.eprintf "runtime error: %s\n%!" e)
     (Runtime.Loop.errors rt);
-  report ~clients ~completed:(completed ()) ~commits:!commits ~elapsed
-    ~latencies ~alive:d.replicas ~d ~unit_label:"wall-clock";
+  let agreed =
+    report ~clients ~completed:(completed ()) ~commits:!commits ~elapsed
+      ~latencies ~alive:d.replicas ~d ~unit_label:"wall-clock"
+  in
   Printf.printf "backpressure: %d outbox engagements\n"
     (Runtime.Loop.backpressure_events rt);
   let violated = conform_finish ~trace recorder online in
-  if not finished || violated then exit 1
+  if not finished || violated || not agreed then exit 1
 
 let run_cluster runtime mode wl shards clients count crash_at seed diverse
     window trace monitor =

@@ -10,6 +10,8 @@ type table = {
   schema : Schema.t;
   store : Store.t;
   indexes : (string, index) Hashtbl.t;  (* column name -> index *)
+  name_hash : int;
+  mutable digest : int;  (* wrapping sum of [row_hash] over the rows *)
 }
 
 type undo =
@@ -48,7 +50,13 @@ let create_table t schema =
   if Hashtbl.mem t.tables name then Error (name ^ ": table exists")
   else begin
     Hashtbl.replace t.tables name
-      { schema; store = Store.create t.backend; indexes = Hashtbl.create 4 };
+      {
+        schema;
+        store = Store.create t.backend;
+        indexes = Hashtbl.create 4;
+        name_hash = Hashtbl.hash name;
+        digest = 0;
+      };
     Ok ()
   end
 
@@ -71,17 +79,49 @@ let row_count t name =
 let log_undo t u =
   match t.txn with Some log -> t.txn <- Some (u :: log) | None -> ()
 
-(* Physical writes: keep secondary indexes in sync with the row store. *)
+(* The splitmix64 finaliser on OCaml's 63-bit ints (wrapping arithmetic):
+   a bijection that spreads every input bit over the whole word. *)
+let mix h =
+  let h = (h lxor (h lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let h = (h lxor (h lsr 27)) * 0x14d049bb133111eb in
+  h lxor (h lsr 31)
+
+(* Absorb one value into a running row hash. Ints enter as they are;
+   the other constructors first add their own offset, so that [Int 0],
+   [Null] and [Bool false] stay apart. *)
+let absorb h (v : Value.t) =
+  match v with
+  | Int i -> mix (h lxor i)
+  | Text s -> mix ((h + 0x1d8e4e27c47d124f) lxor Hashtbl.hash s)
+  | Null -> mix (h + 0x2545f4914f6cdd1d)
+  | Bool b -> mix ((h + 0x0a0761d6478bd642) lxor Bool.to_int b)
+  | Float f -> mix ((h + 0x3c6ef372fe94f82b) lxor Hashtbl.hash f)
+
+(* Chaining through a bijection makes rows that differ in any one column
+   hash apart, however wide the row. The primary key is a projection of
+   the row, so it needs no term of its own. *)
+let row_hash tb row =
+  let h = ref tb.name_hash in
+  for i = 0 to Array.length row - 1 do
+    h := absorb !h (Array.unsafe_get row i)
+  done;
+  !h
+
+(* Physical writes: keep secondary indexes and the table digest in sync
+   with the row store. Every write (rollback and snapshot loads included)
+   goes through these two functions. *)
 let index_key row (idx : index) key = row.(idx.column) :: key
 
 let raw_insert tb key row =
   (match tb.store.Store.find key with
   | Some old ->
+      tb.digest <- tb.digest - row_hash tb old;
       Hashtbl.iter
         (fun _ idx -> idx.entries <- Btree.remove idx.entries (index_key old idx key))
         tb.indexes
   | None -> ());
   tb.store.Store.insert key row;
+  tb.digest <- tb.digest + row_hash tb row;
   Hashtbl.iter
     (fun _ idx -> idx.entries <- Btree.insert idx.entries (index_key row idx key) ())
     tb.indexes
@@ -91,6 +131,7 @@ let raw_delete tb key =
   | None -> false
   | Some old ->
       ignore (tb.store.Store.delete key);
+      tb.digest <- tb.digest - row_hash tb old;
       Hashtbl.iter
         (fun _ idx -> idx.entries <- Btree.remove idx.entries (index_key old idx key))
         tb.indexes;
@@ -280,6 +321,7 @@ let clear_data t =
   Hashtbl.iter
     (fun _ tb ->
       tb.store.Store.clear ();
+      tb.digest <- 0;
       Hashtbl.iter
         (fun _ idx -> idx.entries <- Btree.create ~cmp:Store.key_compare)
         tb.indexes)
@@ -350,15 +392,9 @@ let lookup_eq t name ~column ~value =
           charge t t.prof.Cost.point_read;
           Ok (List.rev !out))
 
+(* Each row hash already covers its table name, so the sum of the table
+   digests is the multiset sum over every (table, row) pair: it depends
+   on the content only, not on the order of writes, the table iteration
+   order or the backend. *)
 let content_hash t =
-  let acc = ref 0 in
-  List.iter
-    (fun name ->
-      match table t name with
-      | None -> ()
-      | Some tb ->
-          tb.store.Store.iter_sorted (fun key row ->
-              let h = Hashtbl.hash (name, key, Array.to_list row) in
-              acc := (!acc * 31) + h))
-    (tables t);
-  !acc
+  mix (Hashtbl.fold (fun _ tb acc -> acc + tb.digest) t.tables 0)

@@ -95,5 +95,8 @@ val lookup_eq :
     point reads); [Error] when no such index exists. *)
 
 val content_hash : t -> int
-(** Order-insensitive digest of schemas and rows — used by the
-    state-agreement tests to compare replicas across diverse backends. *)
+(** Digest of every row of every table, all columns included — used to
+    compare replicas across diverse backends (state agreement, WAL
+    records, recovery, the checker's fingerprints). It depends only on
+    the content, not on write history or backend. Kept up to date by
+    every write, so a call costs O(tables), not a scan. *)

@@ -273,6 +273,179 @@ let test_db_dump_load_roundtrip () =
   Alcotest.(check int) "content hash equal across backends"
     (Database.content_hash src) (Database.content_hash dst)
 
+(* TPC-C's CUSTOMER has 21 columns and ORDER_LINE 10, more values than a
+   polymorphic [Hashtbl.hash] of the whole row inspects. A change to any
+   one column, the last included, must still change the fingerprint. *)
+let wide_schema =
+  Schema.v ~table:"W"
+    ~columns:
+      (("ID", Value.T_int)
+      :: List.init 20 (fun i ->
+             (Printf.sprintf "C%d" i, if i < 8 then Value.T_text else Value.T_int)))
+    ~pkey:[ "ID" ]
+
+let wide_row id =
+  Array.init 21 (fun i ->
+      if i = 0 then Value.Int id
+      else if i <= 8 then Value.Text (Printf.sprintf "text-%d" i)
+      else Value.Int i)
+
+let test_db_hash_wide_rows () =
+  let hash_of rows =
+    let db = Database.create Store.Hazel in
+    ignore (Database.create_table db wide_schema);
+    List.iter (fun r -> ignore (Database.insert db "W" r)) rows;
+    Database.content_hash db
+  in
+  let base = hash_of [ wide_row 1; wide_row 2 ] in
+  for c = 1 to 20 do
+    let r = wide_row 2 in
+    r.(c) <- (match r.(c) with Value.Text _ -> Value.Text "x" | _ -> Value.Int (-1));
+    Alcotest.(check bool)
+      (Printf.sprintf "column %d changes the hash" c)
+      true
+      (hash_of [ wide_row 1; r ] <> base)
+  done
+
+(* A random history of every kind of write, replayed on each backend: the
+   maintained fingerprint must equal the fingerprint of a fresh database
+   reloaded from the dump, and must be the same on all three backends. *)
+type dop =
+  | D_insert of bool * int * int  (* wide table?, key, value *)
+  | D_upsert of bool * int * int
+  | D_update of bool * int * int * int  (* ..., column, value *)
+  | D_delete of bool * int
+  | D_scan_update of bool * int * int  (* ..., key modulus, value *)
+  | D_scan_delete of bool * int
+  | D_begin
+  | D_commit
+  | D_rollback
+  | D_clear
+  | D_recreate of bool
+  | D_index of bool * int
+
+let show_dop = function
+  | D_insert (w, k, v) -> Printf.sprintf "ins(%b,%d,%d)" w k v
+  | D_upsert (w, k, v) -> Printf.sprintf "ups(%b,%d,%d)" w k v
+  | D_update (w, k, c, v) -> Printf.sprintf "upd(%b,%d,%d,%d)" w k c v
+  | D_delete (w, k) -> Printf.sprintf "del(%b,%d)" w k
+  | D_scan_update (w, m, v) -> Printf.sprintf "supd(%b,%d,%d)" w m v
+  | D_scan_delete (w, m) -> Printf.sprintf "sdel(%b,%d)" w m
+  | D_begin -> "begin"
+  | D_commit -> "commit"
+  | D_rollback -> "rollback"
+  | D_clear -> "clear"
+  | D_recreate w -> Printf.sprintf "recreate(%b)" w
+  | D_index (w, c) -> Printf.sprintf "index(%b,%d)" w c
+
+let gen_dops =
+  QCheck.Gen.(
+    let key = int_bound 15 and v = int_bound 50 in
+    list_size (0 -- 80)
+      (frequency
+         [
+           (6, map3 (fun w k v -> D_insert (w, k, v)) bool key v);
+           (4, map3 (fun w k v -> D_upsert (w, k, v)) bool key v);
+           ( 4,
+             map3
+               (fun (w, k) c v -> D_update (w, k, c, v))
+               (pair bool key) (1 -- 20) v );
+           (2, map2 (fun w k -> D_delete (w, k)) bool key);
+           (1, map3 (fun w m v -> D_scan_update (w, m, v)) bool (1 -- 4) v);
+           (1, map2 (fun w m -> D_scan_delete (w, m)) bool (2 -- 5));
+           (2, return D_begin);
+           (1, return D_commit);
+           (1, return D_rollback);
+           (1, return D_clear);
+           (1, map (fun w -> D_recreate w) bool);
+           (1, map2 (fun w c -> D_index (w, c)) bool (1 -- 20));
+         ]))
+
+let schema_of wide = if wide then wide_schema else bank_schema
+let table_of wide = if wide then "W" else "T"
+
+(* A value of the column's type: the narrow table has one int column. *)
+let cell wide c v =
+  if v mod 11 = 0 then Value.Null
+  else if wide && c <= 8 then Value.Text (string_of_int v)
+  else Value.Int v
+
+let row_of wide k v =
+  if wide then Array.init 21 (fun c -> if c = 0 then Value.Int k else cell wide c (v + c))
+  else [| Value.Int k; cell wide 1 v |]
+
+let key_divisible m r =
+  match r.(0) with Value.Int k -> k mod m = 0 | _ -> false
+
+let apply_dop db op =
+  let key k = [ Value.Int k ] in
+  let set c v r =
+    r.(c) <- v;
+    r
+  in
+  match op with
+  | D_insert (w, k, v) -> ignore (Database.insert db (table_of w) (row_of w k v))
+  | D_upsert (w, k, v) -> ignore (Database.upsert db (table_of w) (row_of w k v))
+  | D_update (w, k, c, v) ->
+      let c = if w then c else 1 in
+      ignore (Database.update db (table_of w) (key k) (set c (cell w c v)))
+  | D_delete (w, k) -> ignore (Database.delete db (table_of w) (key k))
+  | D_scan_update (w, m, v) ->
+      let c = Schema.arity (schema_of w) - 1 in
+      ignore
+        (Database.scan_update db (table_of w) ~pred:(key_divisible m)
+           ~f:(set c (Value.Int v)))
+  | D_scan_delete (w, m) ->
+      ignore (Database.scan_delete db (table_of w) ~pred:(key_divisible m))
+  | D_begin -> if not (Database.in_txn db) then Database.begin_txn db
+  | D_commit -> Database.commit db
+  | D_rollback -> Database.rollback db
+  | D_clear -> Database.clear_data db
+  | D_recreate w ->
+      ignore (Database.drop_table db (table_of w));
+      ignore (Database.create_table db (schema_of w))
+  | D_index (w, c) ->
+      let s = schema_of w in
+      let c = min c (Schema.arity s - 1) in
+      ignore
+        (Database.create_index db (table_of w)
+           (List.nth s.Schema.columns c).Schema.name)
+
+let reloaded db =
+  let fresh = Database.create Store.Hazel in
+  List.iter
+    (fun name ->
+      match Database.schema db name with
+      | Some s -> ignore (Database.create_table fresh s)
+      | None -> ())
+    (Database.tables db);
+  (match Database.load_rows fresh (Database.dump db) with
+  | Ok () -> ()
+  | Error e -> QCheck.Test.fail_reportf "reload: %s" e);
+  fresh
+
+let prop_hash_matches_reload =
+  QCheck.Test.make ~name:"maintained hash = reloaded hash on every backend"
+    ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat ";" (List.map show_dop ops))
+       gen_dops)
+    (fun ops ->
+      let run kind =
+        let db = Database.create kind in
+        ignore (Database.create_table db bank_schema);
+        ignore (Database.create_table db wide_schema);
+        List.iter (apply_dop db) ops;
+        let h = Database.content_hash db in
+        let r = Database.content_hash (reloaded db) in
+        if h <> r then
+          QCheck.Test.fail_reportf "%s: maintained %d, reloaded %d"
+            (Store.kind_name kind) h r;
+        h
+      in
+      let h = run Store.Hazel in
+      h = run Store.Hickory && h = run Store.Dogwood)
+
 let test_db_cost_accounting () =
   let db = mk_db () in
   ignore (Database.take_cost db);
@@ -625,6 +798,9 @@ let () =
           Alcotest.test_case "rollback" `Quick test_db_rollback;
           qt prop_rollback_restores_hash;
           Alcotest.test_case "dump/load" `Quick test_db_dump_load_roundtrip;
+          Alcotest.test_case "hash covers wide rows" `Quick
+            test_db_hash_wide_rows;
+          qt prop_hash_matches_reload;
           Alcotest.test_case "cost accounting" `Quick test_db_cost_accounting;
         ] );
       ( "indexes",
