@@ -154,7 +154,7 @@ let explore_term =
       required
       & opt (some protocol_conv) None
       & info [ "protocol" ] ~docv:"NAME"
-          ~doc:"Scenario to check: paxos, tob, pbr, smr, or buggy.")
+          ~doc:"Scenario to check: paxos, tob, pbr, chain, smr, or buggy.")
   in
   let mode =
     Arg.(

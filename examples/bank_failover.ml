@@ -23,8 +23,7 @@ let () =
   let rworld = Runtime.Of_sim.of_engine world in
   let tun =
     {
-      Shadowdb.System.default_tuning with
-      hb_interval = 0.2;
+      Shadowdb.System.hb_interval = 0.2;
       detect_timeout = 2.0;
       cache_cap = 50 (* force a full-snapshot state transfer *);
     }

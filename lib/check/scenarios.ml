@@ -428,13 +428,9 @@ let db_scenario ~name ~spawn ~replicas_of ~cfg_of ~gseq_of ~hash_of
   in
   { Scenario.name; nodes; make }
 
-let pbr : Scenario.t =
-  db_scenario ~name:"pbr"
-    ~spawn:(fun world ->
-      Sdb.To_pbr
-        (Sdb.spawn_pbr ~tun:fast_tun ~world ~registry:Workload.Bank.registry
-           ~setup:(Workload.Bank.setup ~rows:bank_rows)
-           ~n_active:2 ~n_spare:1 ()))
+let pbr_style_scenario ~name ~spawn : Scenario.t =
+  db_scenario ~name
+    ~spawn:(fun world -> Sdb.To_pbr (spawn world))
     ~replicas_of:(function
       | Sdb.To_pbr c -> c.Sdb.pbr_replicas
       | Sdb.To_smr _ | Sdb.To_sharded _ -> [])
@@ -449,6 +445,21 @@ let pbr : Scenario.t =
       | Sdb.To_smr _ | Sdb.To_sharded _ -> fun _ -> 0)
     ~executes:(fun _ _ -> true)
     3
+
+let pbr =
+  pbr_style_scenario ~name:"pbr" ~spawn:(fun world ->
+      Sdb.spawn_pbr ~tun:fast_tun ~world ~registry:Workload.Bank.registry
+        ~setup:(Workload.Bank.setup ~rows:bank_rows)
+        ~n_active:2 ~n_spare:1 ())
+
+(* Chain replication on the same 2 active + 1 spare deployment: the head
+   executes and forwards, the tail answers. *)
+let chain =
+  pbr_style_scenario ~name:"chain" ~spawn:(fun world ->
+      Sdb.spawn_chain ~read_kinds:[ "balance" ] ~tun:fast_tun ~world
+        ~registry:Workload.Bank.registry
+        ~setup:(Workload.Bank.setup ~rows:bank_rows)
+        ~n_active:2 ~n_spare:1 ())
 
 let smr_scenario ~name ~window : Scenario.t =
   db_scenario ~name
@@ -1050,6 +1061,7 @@ let all =
     tob_w2;
     tob_w4;
     pbr;
+    chain;
     smr;
     smr_w2;
     smr_w4;

@@ -20,8 +20,7 @@ let run_timeline ?(rows = 50_000) ?(crash_at = 15.0) ?(detect_timeout = 10.0)
   let rworld = Runtime.Of_sim.of_engine world in
   let tun =
     {
-      Shadowdb.System.default_tuning with
-      detect_timeout;
+      Shadowdb.System.detect_timeout;
       hb_interval = detect_timeout /. 5.0;
       (* Force the full-snapshot state-transfer path, as in the paper's
          experiment (the spare receives the whole 50,000-row database). *)

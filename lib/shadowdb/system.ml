@@ -2,7 +2,7 @@
 
    [Make] is parameterized by the consensus core of the broadcast service
    (Paxos in the paper's evaluation; TwoThird also works). It provides the
-   two replication protocols of Sec. III:
+   two replication protocols of Sec. III plus chain replication:
 
    - PBR (primary-backup): a hand-coded normal case — the primary
      executes, forwards to the backups, waits for all acknowledgements and
@@ -10,12 +10,18 @@
      largest executed sequence number, and transaction-cache or
      full-snapshot state transfer.
 
+   - Chain: PBR with a chain-shaped normal case (the head executes, the
+     tail answers).
+
    - SMR (state-machine replication): clients broadcast transactions
      through the TOB; every active replica executes in delivery order and
      answers; the client keeps the first answer. Each replica co-hosts its
      broadcast-service member (the paper co-locates databases with the
      Paxos processes, and the shared CPU is what caps SMR throughput in
-     Fig. 9(a)). *)
+     Fig. 9(a)).
+
+   All styles share one replica core ([_ replica] and its helpers); each
+   adds only the handlers of its own protocol. *)
 
 module R = Runtime
 module Database = Storage.Database
@@ -71,20 +77,26 @@ type tuning = {
   hb_interval : float;
   detect_timeout : float;
   cache_cap : int;
-  chunk_rows : int;
-  exec_overhead : float;  (* fixed CPU per transaction besides DB work *)
-  fwd_overhead : float;  (* primary-side per-backup forward/ack handling *)
 }
 
 let default_tuning =
-  {
-    hb_interval = 1.0;
-    detect_timeout = 10.0;
-    cache_cap = 20_000;
-    chunk_rows = 700;
-    exec_overhead = 2.0e-5;
-    fwd_overhead = 4.5e-5;
-  }
+  { hb_interval = 1.0; detect_timeout = 10.0; cache_cap = 20_000 }
+
+(* Rows per state-transfer chunk (≈50 kB). *)
+let chunk_rows = 700
+
+(* Fixed CPU per transaction besides the database work. *)
+let exec_overhead = 2.0e-5
+
+(* PBR/chain: CPU to forward one transaction to one replica; half of it
+   again to handle an acknowledgement. *)
+let fwd_overhead = 4.5e-5
+
+(* Storage engines assigned round-robin by deployment index. *)
+let backend_of backends i =
+  match backends with
+  | None -> Storage.Store.Hazel
+  | Some bs -> List.nth bs (i mod List.length bs)
 
 module Make (C : Consensus.Consensus_intf.S) = struct
   module Shell = Broadcast.Shell.Make (C)
@@ -145,30 +157,193 @@ module Make (C : Consensus.Consensus_intf.S) = struct
           match Hashtbl.find_opt t.tbl l with Some r -> f r | None -> default)
   end
 
-  (* Bounded cache of recently executed transactions (for catch-up). *)
+  (* Bounded cache of recently executed transactions (for catch-up): the
+     newest [cap] by global number. *)
   module Cache = struct
-    type t = { cap : int; mutable items : (int * Txn.t) list (* newest first *) }
+    type t = {
+      cap : int;
+      txns : (int, Txn.t) Hashtbl.t;
+      order : int Queue.t;  (* cached numbers, oldest first *)
+    }
 
-    let create cap = { cap; items = [] }
+    let create cap = { cap; txns = Hashtbl.create 64; order = Queue.create () }
 
     let push t gseq txn =
-      t.items <- (gseq, txn) :: t.items;
-      if List.length t.items > t.cap then
-        t.items <- List.filteri (fun i _ -> i < t.cap) t.items
+      Hashtbl.replace t.txns gseq txn;
+      Queue.add gseq t.order;
+      if Queue.length t.order > t.cap then
+        Hashtbl.remove t.txns (Queue.pop t.order)
 
     (* Transactions with global number in (from, upto], oldest first;
-       [None] if the cache no longer spans that range. *)
+       [None] unless the cache holds every one of them. *)
     let range t ~from ~upto =
-      let hits =
-        List.filter (fun (g, _) -> g > from && g <= upto) t.items
+      let rec collect g acc =
+        if g <= from then Some acc
+        else
+          match Hashtbl.find_opt t.txns g with
+          | Some txn -> collect (g - 1) ((g, txn) :: acc)
+          | None -> None
       in
-      if List.length hits = upto - from then
-        Some (List.sort (fun (a, _) (b, _) -> compare a b) hits)
-      else None
+      if upto < from then None else collect upto []
   end
 
   (* ------------------------------------------------------------------ *)
-  (* Primary-backup replication                                          *)
+  (* Replica core, shared by every replication style                     *)
+  (* ------------------------------------------------------------------ *)
+
+  (* What every replica keeps, whatever its style; ['st] is the rest. *)
+  type 'st replica = {
+    self : loc;
+    all : loc list;  (* every replica incl. spares, deployment order *)
+    db : Database.t;
+    reg : Txn.registry;
+    tun : tuning;
+    mutable cfg : Config.t;
+    mutable gseq : int;
+        (* PBR/chain: executed transactions; SMR: delivered entries *)
+    mutable loading : bool;  (* state transfer: chunks are arriving *)
+    last_hb : (loc, float) Hashtbl.t;
+    mutable proposed_at : float;  (* last reconfiguration proposal *)
+    mutable tob_seq : int;  (* ids for our TOB broadcasts *)
+    st : 'st;
+  }
+
+  let fresh_db backend setup =
+    let db = Database.create backend in
+    setup db;
+    ignore (Database.take_cost db);
+    db
+
+  let make_replica ~self ~all ~db ~reg ~tun ~members ~gseq st =
+    {
+      self;
+      all;
+      db;
+      reg;
+      tun;
+      cfg = Config.initial members;
+      gseq;
+      loading = false;
+      last_hb = Hashtbl.create 8;
+      proposed_at = -1.0e9;
+      tob_seq = 0;
+      st;
+    }
+
+  let reset_hb ctx r members =
+    List.iter (fun m -> Hashtbl.replace r.last_hb m (R.time ctx)) members
+
+  (* A node's replica is built by [init] on its first event (again after
+     every restart) and published to the cluster observers. *)
+  let replica_node shared ~init step () =
+    let holder = ref None in
+    fun ctx input ->
+      let r =
+        match !holder with
+        | Some r -> r
+        | None ->
+            let r = init ctx in
+            reset_hb ctx r r.cfg.Config.members;
+            Registry.set shared r.self r;
+            holder := Some r;
+            r
+      in
+      step ctx r input
+
+  let in_cfg r = Config.contains r.cfg r.self
+
+  let send_members ctx r msg =
+    List.iter
+      (fun m -> if m <> r.self then send_db ctx m msg)
+      r.cfg.Config.members
+
+  let arm_detect ctx r =
+    ignore (R.set_timer ctx (r.tun.detect_timeout /. 4.0) "detect")
+
+  let start_detector ctx r =
+    ignore (R.set_timer ctx r.tun.hb_interval "hb");
+    arm_detect ctx r
+
+  (* The "hb" timer: heartbeat the other members while [active]. *)
+  let heartbeat ctx r ~active =
+    if active then
+      send_members ctx r (Db_msg.Heartbeat { cfg = r.cfg.Config.seq });
+    ignore (R.set_timer ctx r.tun.hb_interval "hb")
+
+  (* Paper Sec. III-A, recovery steps 1–2, for every style: members
+     silent for longer than the detection timeout are suspected, and
+     [propose] broadcasts the successor configuration that replaces them
+     with spares. It is re-proposed at most once per half timeout while
+     the suspicion persists (the first delivered proposal wins). *)
+  let check_suspicion ctx r ~propose =
+    let now = R.time ctx in
+    let suspects =
+      List.filter
+        (fun m ->
+          m <> r.self
+          &&
+          match Hashtbl.find_opt r.last_hb m with
+          | Some t -> now -. t > r.tun.detect_timeout
+          | None -> false)
+        r.cfg.Config.members
+    in
+    if suspects <> [] && now -. r.proposed_at > r.tun.detect_timeout /. 2.0
+    then begin
+      r.proposed_at <- now;
+      let spares = List.filter (fun m -> not (Config.contains r.cfg m)) r.all in
+      let add = List.filteri (fun i _ -> i < List.length suspects) spares in
+      let proposal = Config.next r.cfg ~remove:suspects ~add in
+      r.tob_seq <- r.tob_seq + 1;
+      propose
+        {
+          Tob.origin = r.self;
+          id = r.tob_seq;
+          payload =
+            tob_payload_reconfig proposal ~last_seq:r.gseq ~proposer:r.self;
+        }
+    end
+
+  (* A state-transfer image as [chunk_rows]-row Snapshot messages. The
+     last one completes the transfer, so there is one even for an empty
+     database; [clients] rides on it. *)
+  let snapshot_chunks ~cfg ~upto ~clients rows =
+    let chunk rev_rows ~last =
+      Db_msg.Snapshot
+        {
+          cfg;
+          rows = List.rev rev_rows;
+          upto;
+          last;
+          clients = (if last then clients else []);
+        }
+    in
+    let rec go acc cur n = function
+      | [] -> List.rev (chunk cur ~last:true :: acc)
+      | row :: rest when n = chunk_rows ->
+          go (chunk cur ~last:false :: acc) [ row ] 1 rest
+      | row :: rest -> go acc (row :: cur) (n + 1) rest
+    in
+    go [] [] 0 rows
+
+  (* Install one state-transfer chunk; the first clears the database. *)
+  let load_chunk ctx r rows ~last =
+    if not r.loading then begin
+      r.loading <- true;
+      Database.clear_data r.db
+    end;
+    (match Database.load_rows r.db rows with Ok () | Error _ -> ());
+    R.charge ctx (Database.take_cost r.db);
+    if last then r.loading <- false
+
+  (* Execute [txn], charging the per-transaction overhead and the
+     database work as one amount. *)
+  let execute ctx r txn =
+    let reply = Txn.execute r.reg r.db txn in
+    R.charge ctx (exec_overhead +. Database.take_cost r.db);
+    reply
+
+  (* ------------------------------------------------------------------ *)
+  (* Primary-backup and chain replication                                *)
   (* ------------------------------------------------------------------ *)
 
   type pbr_cluster = {
@@ -181,26 +356,13 @@ module Make (C : Consensus.Consensus_intf.S) = struct
     pbr_hash_of : loc -> int;  (* database content hash (tests) *)
   }
 
-  type replication_style = Primary_backup | Chain
-
-  type pbr_replica = {
-    style : replication_style;
-    read_kinds : string list;
-        (* Chain: transaction kinds served read-only at the tail *)
-    p_self : loc;
-    p_all : loc list;  (* every replica incl. spares, deployment order *)
-    p_tob : loc list;
-    db : Database.t;
-    reg : Txn.registry;
-    tun : tuning;
-    mutable cfg : Config.t;
+  type pbr_state = {
+    tob_members : loc list;  (* the reconfiguration broadcast service *)
     mutable primary : loc;
     mutable running : bool;
-    mutable gseq : int;
     cache : Cache.t;
     client_tbl : (loc, Txn.reply) Hashtbl.t;  (* latest reply per client *)
     pending : (int, Txn.t * Sim.Node_id.Set.t ref) Hashtbl.t;
-    last_hb : (loc, float) Hashtbl.t;
     mutable elect_votes : (loc * int) list;
     mutable elected : bool;  (* election resolved for current cfg *)
     mutable awaiting_recovered : Sim.Node_id.Set.t;
@@ -209,511 +371,387 @@ module Make (C : Consensus.Consensus_intf.S) = struct
            for acknowledgments from these (the paper's overlapped state
            transfer: normal processing resumes once at least one backup
            caught up, snapshots stream to the rest in parallel) *)
-    mutable snapshot_started : bool;  (* backup-side: receiving chunks *)
     mutable fwd_buffer : (int * Txn.t) list;
         (* backup-side: forwards arriving while a snapshot installs *)
-    mutable tob_seq : int;  (* ids for our TOB broadcasts *)
-    mutable proposed_at : float;  (* last reconfig proposal time *)
   }
 
-  let backups r = List.filter (fun m -> m <> r.primary) r.cfg.Config.members
+  let backups r = List.filter (fun m -> m <> r.st.primary) r.cfg.Config.members
 
-  let chain_head r = match r.cfg.Config.members with m :: _ -> m | [] -> r.p_self
+  let chain_head r = match r.cfg.Config.members with m :: _ -> m | [] -> r.self
 
   let chain_tail r =
-    match List.rev r.cfg.Config.members with m :: _ -> m | [] -> r.p_self
+    match List.rev r.cfg.Config.members with m :: _ -> m | [] -> r.self
 
   let chain_successor r =
     let rec go = function
-      | a :: b :: _ when a = r.p_self -> Some b
+      | a :: b :: _ when a = r.self -> Some b
       | _ :: rest -> go rest
       | [] -> None
     in
     go r.cfg.Config.members
 
-  let in_cfg r = Config.contains r.cfg r.p_self
-
-  let charge_db ctx r = R.charge ctx (Database.take_cost r.db)
-
+  (* Charged as two amounts, unlike [execute]: within one handler,
+     (c + a) + b and c + (a + b) can round differently, so merging them
+     could shift PBR/chain virtual time. *)
   let exec_and_record ctx r txn =
     let reply = Txn.execute r.reg r.db txn in
-    R.charge ctx r.tun.exec_overhead;
-    charge_db ctx r;
+    R.charge ctx exec_overhead;
+    R.charge ctx (Database.take_cost r.db);
     r.gseq <- r.gseq + 1;
-    Cache.push r.cache r.gseq txn;
-    Hashtbl.replace r.client_tbl txn.Txn.client reply;
+    Cache.push r.st.cache r.gseq txn;
+    Hashtbl.replace r.st.client_tbl txn.Txn.client reply;
     reply
 
-  let reset_hb ctx r =
-    List.iter
-      (fun m -> Hashtbl.replace r.last_hb m (R.time ctx))
-      r.cfg.Config.members
+  (* Exactly-once under client retries: a resent transaction is answered
+     from the reply table, one older than the last answer is dropped, a
+     new one runs [fresh]. *)
+  let dedup ctx r (txn : Txn.t) fresh =
+    match Hashtbl.find_opt r.st.client_tbl txn.Txn.client with
+    | Some old when old.Txn.seq = txn.Txn.seq ->
+        send_db ctx txn.Txn.client (Db_msg.Reply old)
+    | Some old when old.Txn.seq > txn.Txn.seq -> ()
+    | Some _ | None -> fresh ()
 
-  (* Paper Sec. III-A, recovery steps 1–2: stop, propose a new
-     configuration through the broadcast service. *)
-  let propose_reconfig ctx r suspects =
-    r.running <- false;
-    r.proposed_at <- R.time ctx;
-    let spares =
-      List.filter (fun m -> not (Config.contains r.cfg m)) r.p_all
-    in
-    let add = List.filteri (fun i _ -> i < List.length suspects) spares in
-    let proposal = Config.next r.cfg ~remove:suspects ~add in
-    r.tob_seq <- r.tob_seq + 1;
-    let payload =
-      tob_payload_reconfig proposal ~last_seq:r.gseq ~proposer:r.p_self
-    in
-    let entry =
-      { Tob.origin = r.p_self; id = r.tob_seq; payload }
-    in
+  (* Steps 1–2, sending side: stop and hand the proposal to the
+     broadcast service. *)
+  let propose_reconfig ctx r entry =
+    r.st.running <- false;
     let tob_contact =
       Sim.Invariant.head ~layer:"pbr"
         ~what:
           (Printf.sprintf "replica %d proposing reconfiguration: TOB members"
-             r.p_self)
-        r.p_tob
+             r.self)
+        r.st.tob_members
     in
-    R.send ctx ~size:(String.length payload + 24) tob_contact
+    R.send ctx
+      ~size:(String.length entry.Tob.payload + 24)
+      tob_contact
       (Svc (TM.Broadcast entry))
 
   (* Step 3: adopt the first proposal for the successor configuration and
      start the election. *)
   let adopt_config ctx r proposal =
+    let p = r.st in
     r.cfg <- proposal;
-    r.running <- false;
-    r.elected <- false;
-    r.elect_votes <- [];
-    r.awaiting_recovered <- Sim.Node_id.Set.empty;
-    r.recovered_set <- Sim.Node_id.Set.empty;
-    r.snapshot_started <- false;
-    r.fwd_buffer <- [];
-    Hashtbl.reset r.pending;
-    reset_hb ctx r;
+    p.running <- false;
+    p.elected <- false;
+    p.elect_votes <- [];
+    p.awaiting_recovered <- Sim.Node_id.Set.empty;
+    p.recovered_set <- Sim.Node_id.Set.empty;
+    r.loading <- false;
+    p.fwd_buffer <- [];
+    Hashtbl.reset p.pending;
+    reset_hb ctx r proposal.Config.members;
     if in_cfg r then begin
       let msg = Db_msg.Elect { cfg = proposal.Config.seq; last_seq = r.gseq } in
       List.iter
         (fun m ->
-          if m = r.p_self then
-            r.elect_votes <- (r.p_self, r.gseq) :: r.elect_votes
+          if m = r.self then p.elect_votes <- (r.self, r.gseq) :: p.elect_votes
           else send_db ctx m msg)
         proposal.Config.members
     end
-
-  let snapshot_chunks r ~upto =
-    let rows = Database.dump r.db in
-    let clients = Hashtbl.fold (fun _ reply acc -> reply :: acc) r.client_tbl [] in
-    let rec chunk rows acc =
-      match rows with
-      | [] -> List.rev acc
-      | _ ->
-          let n = min r.tun.chunk_rows (List.length rows) in
-          let head = List.filteri (fun i _ -> i < n) rows in
-          let tail = List.filteri (fun i _ -> i >= n) rows in
-          chunk tail (head :: acc)
-    in
-    let chunks = chunk rows [] in
-    let total = List.length chunks in
-    List.mapi
-      (fun i rows ->
-        let last = i = total - 1 in
-        Db_msg.Snapshot
-          {
-            cfg = r.cfg.Config.seq;
-            rows;
-            upto;
-            last;
-            clients = (if last then clients else []);
-          })
-      chunks
 
   (* Steps 4–5: the member with the largest sequence number becomes
      primary (ties to the smallest identifier) and brings the others up
      to date from its cache, or with a full snapshot. *)
   let conclude_election ctx r =
+    let p = r.st in
     let best =
       List.fold_left
         (fun (bl, bs) (l, s) ->
           if s > bs || (s = bs && l < bl) then (l, s) else (bl, bs))
-        (max_int, min_int) r.elect_votes
+        (max_int, min_int) p.elect_votes
     in
-    let primary = fst best in
-    r.primary <- primary;
-    r.elected <- true;
-    if r.p_self = primary then begin
+    p.primary <- fst best;
+    p.elected <- true;
+    if r.self = p.primary then begin
       let others = backups r in
-      r.recovered_set <- Sim.Node_id.Set.singleton r.p_self;
+      p.recovered_set <- Sim.Node_id.Set.singleton r.self;
       (* Every backup voted (the election only concludes on a full vote
          set), so a missing vote here is a broken internal contract. *)
-      let vote_of b =
-        Sim.Invariant.assoc ~layer:"pbr"
-          ~what:
-            (Printf.sprintf "primary %d concluding election: vote of %d"
-               r.p_self b)
-          b r.elect_votes
+      let catchup b =
+        let vote =
+          Sim.Invariant.assoc ~layer:"pbr"
+            ~what:
+              (Printf.sprintf "primary %d concluding election: vote of %d"
+                 r.self b)
+            b p.elect_votes
+        in
+        (b, Cache.range p.cache ~from:vote ~upto:r.gseq)
       in
-      let fast, slow =
-        List.partition
-          (fun b -> Cache.range r.cache ~from:(vote_of b) ~upto:r.gseq <> None)
-          others
+      let transfers = List.map catchup others in
+      let fast =
+        List.filter_map (fun (b, c) -> Option.map (fun _ -> b) c) transfers
       in
       (* The paper's overlapped state transfer: wait only for the backups
          that can catch up from the cache; backups needing a full snapshot
          recover in parallel while normal processing resumes (they are
          added to the acknowledgment set when their Recovered arrives). *)
-      r.awaiting_recovered <-
+      p.awaiting_recovered <-
         Sim.Node_id.Set.of_list (if fast = [] then others else fast);
-      if others = [] then r.running <- true
-      else begin
+      if others = [] then p.running <- true
+      else
         List.iter
-          (fun b ->
-            match Cache.range r.cache ~from:(vote_of b) ~upto:r.gseq with
+          (fun (b, cached) ->
+            match cached with
             | Some txns ->
                 send_db ctx b
                   (Db_msg.Catchup
                      { cfg = r.cfg.Config.seq; txns; upto = r.gseq })
             | None ->
-                charge_db ctx r;
-                List.iter (send_db ctx b) (snapshot_chunks r ~upto:r.gseq))
-          others;
-        ignore slow
-      end
+                R.charge ctx (Database.take_cost r.db);
+                let clients =
+                  Hashtbl.fold (fun _ reply acc -> reply :: acc) p.client_tbl []
+                in
+                List.iter (send_db ctx b)
+                  (snapshot_chunks ~cfg:r.cfg.Config.seq ~upto:r.gseq ~clients
+                     (Database.dump r.db)))
+          transfers
     end
 
   let handle_elect ctx r ~src ~cfg ~last_seq =
-    if cfg = r.cfg.Config.seq && in_cfg r && not r.elected then begin
-      if not (List.mem_assoc src r.elect_votes) then
-        r.elect_votes <- (src, last_seq) :: r.elect_votes;
-      if List.length r.elect_votes = List.length r.cfg.Config.members then
+    let p = r.st in
+    if cfg = r.cfg.Config.seq && in_cfg r && not p.elected then begin
+      if not (List.mem_assoc src p.elect_votes) then
+        p.elect_votes <- (src, last_seq) :: p.elect_votes;
+      if List.length p.elect_votes = List.length r.cfg.Config.members then
         conclude_election ctx r
     end
 
   (* Step 6–7: backups acknowledge recovery; the primary resumes. *)
   let handle_recovered r ~src ~cfg =
-    if cfg = r.cfg.Config.seq && r.p_self = r.primary then begin
-      r.awaiting_recovered <- Sim.Node_id.Set.remove src r.awaiting_recovered;
-      r.recovered_set <- Sim.Node_id.Set.add src r.recovered_set;
-      if Sim.Node_id.Set.is_empty r.awaiting_recovered then r.running <- true
+    let p = r.st in
+    if cfg = r.cfg.Config.seq && r.self = p.primary then begin
+      p.awaiting_recovered <- Sim.Node_id.Set.remove src p.awaiting_recovered;
+      p.recovered_set <- Sim.Node_id.Set.add src p.recovered_set;
+      if Sim.Node_id.Set.is_empty p.awaiting_recovered then p.running <- true
     end
 
   let handle_catchup ctx r ~src ~cfg ~txns ~upto =
     if cfg = r.cfg.Config.seq && in_cfg r then begin
       (* The sender is the elected primary (we may have missed votes). *)
-      r.primary <- src;
-      r.elected <- true;
+      r.st.primary <- src;
+      r.st.elected <- true;
       List.iter
         (fun (g, txn) ->
           if g > r.gseq then begin
-            let reply = Txn.execute r.reg r.db txn in
-            R.charge ctx r.tun.exec_overhead;
-            charge_db ctx r;
-            r.gseq <- g;
-            Cache.push r.cache g txn;
-            Hashtbl.replace r.client_tbl txn.Txn.client reply
+            r.gseq <- g - 1;
+            ignore (exec_and_record ctx r txn)
           end)
         txns;
       r.gseq <- max r.gseq upto;
-      r.running <- true;
-      send_db ctx r.primary (Db_msg.Recovered { cfg })
+      r.st.running <- true;
+      send_db ctx r.st.primary (Db_msg.Recovered { cfg })
     end
 
-  let handle_forward ctx r ~cfg ~gseq ~txn =
-    if r.style = Chain then begin
-      if cfg = r.cfg.Config.seq && in_cfg r then
-        if gseq = r.gseq + 1 then begin
-          let reply = exec_and_record ctx r txn in
-          match chain_successor r with
-          | Some next ->
-              R.charge ctx r.tun.fwd_overhead;
-              send_db ctx next (Db_msg.Forward { cfg; gseq = r.gseq; txn })
-          | None ->
-              (* Tail: this transaction has now executed at every replica;
-                 answer the client. *)
-              send_db ctx txn.Txn.client (Db_msg.Reply reply)
-        end
-        else if gseq > r.gseq + 1 then
-          r.fwd_buffer <- (gseq, txn) :: r.fwd_buffer
-    end
-    else if
-      (* Backups only accept transactions tagged with their configuration
-         (paper Sec. III-A). *)
-      cfg = r.cfg.Config.seq && in_cfg r && r.p_self <> r.primary
-    then
-      if gseq = r.gseq + 1 then begin
-        ignore (exec_and_record ctx r txn);
-        send_db ctx r.primary (Db_msg.Ack { cfg; gseq })
-      end
-      else if gseq <= r.gseq then
-        (* Duplicate (already executed): just re-acknowledge. *)
-        send_db ctx r.primary (Db_msg.Ack { cfg; gseq })
-      else
-        (* Ahead of us: normal processing resumed while our snapshot is
-           still installing — buffer and replay once it lands. *)
-        r.fwd_buffer <- (gseq, txn) :: r.fwd_buffer
+  let drain_fwd_buffer ctx r ~forward =
+    let buffered = List.sort compare (List.rev r.st.fwd_buffer) in
+    r.st.fwd_buffer <- [];
+    List.iter
+      (fun (gseq, txn) -> forward ctx r ~cfg:r.cfg.Config.seq ~gseq ~txn)
+      buffered
 
-  let drain_fwd_buffer ctx r =
-    let buffered = List.sort compare (List.rev r.fwd_buffer) in
-    r.fwd_buffer <- [];
-    List.iter (fun (gseq, txn) -> handle_forward ctx r ~cfg:r.cfg.Config.seq ~gseq ~txn) buffered
-
-  let handle_snapshot ctx r ~src ~cfg ~rows ~upto ~last ~clients =
+  let handle_snapshot ctx r ~forward ~src ~cfg ~rows ~upto ~last ~clients =
+    let p = r.st in
     if cfg = r.cfg.Config.seq && in_cfg r then begin
-      r.primary <- src;
-      r.elected <- true;
-      if not r.snapshot_started then begin
-        r.snapshot_started <- true;
-        Database.clear_data r.db;
-        Hashtbl.reset r.client_tbl
-      end;
-      (match Database.load_rows r.db rows with Ok () | Error _ -> ());
-      charge_db ctx r;
+      p.primary <- src;
+      p.elected <- true;
+      if not r.loading then Hashtbl.reset p.client_tbl;
+      load_chunk ctx r rows ~last;
       if last then begin
         List.iter
           (fun (reply : Txn.reply) ->
-            Hashtbl.replace r.client_tbl reply.Txn.client reply)
+            Hashtbl.replace p.client_tbl reply.Txn.client reply)
           clients;
         r.gseq <- upto;
-        r.snapshot_started <- false;
-        r.running <- true;
-        send_db ctx r.primary (Db_msg.Recovered { cfg });
-        drain_fwd_buffer ctx r
+        p.running <- true;
+        send_db ctx p.primary (Db_msg.Recovered { cfg });
+        drain_fwd_buffer ctx r ~forward
       end
     end
+
+  let handle_ack ctx r ~cfg ~gseq ~src =
+    let p = r.st in
+    if cfg = r.cfg.Config.seq && r.self = p.primary then
+      match Hashtbl.find_opt p.pending gseq with
+      | None -> ()
+      | Some (txn, missing) ->
+          missing := Sim.Node_id.Set.remove src !missing;
+          R.charge ctx (fwd_overhead /. 2.0);
+          if Sim.Node_id.Set.is_empty !missing then begin
+            Hashtbl.remove p.pending gseq;
+            match Hashtbl.find_opt p.client_tbl txn.Txn.client with
+            | Some reply when reply.Txn.seq = txn.Txn.seq ->
+                send_db ctx txn.Txn.client (Db_msg.Reply reply)
+            | Some _ | None -> ()
+          end
+
+  (* Primary-backup normal case: the primary executes, forwards to every
+     backup and answers once the recovered ones acknowledged. *)
+  let pbr_client_txn ctx r txn =
+    let p = r.st in
+    if not (p.running && in_cfg r) then ()
+    else if r.self <> p.primary then
+      (* Misrouted: pass it on (the reply goes straight to the client). *)
+      send_db ctx p.primary (Db_msg.Client_txn txn)
+    else
+      dedup ctx r txn (fun () ->
+          let reply = exec_and_record ctx r txn in
+          let bs = backups r in
+          if bs = [] then send_db ctx txn.Txn.client (Db_msg.Reply reply)
+          else begin
+            (* Forward to every backup, but wait only for the recovered
+               ones (a snapshotting backup buffers and acknowledges
+               later). *)
+            let awaited =
+              if Sim.Node_id.Set.is_empty p.recovered_set then bs
+              else
+                List.filter (fun b -> Sim.Node_id.Set.mem b p.recovered_set) bs
+            in
+            let awaited = if awaited = [] then bs else awaited in
+            Hashtbl.replace p.pending r.gseq
+              (txn, ref (Sim.Node_id.Set.of_list awaited));
+            let fwd =
+              Db_msg.Forward { cfg = r.cfg.Config.seq; gseq = r.gseq; txn }
+            in
+            List.iter
+              (fun b ->
+                R.charge ctx fwd_overhead;
+                send_db ctx b fwd)
+              bs
+          end)
+
+  let pbr_forward ctx r ~cfg ~gseq ~txn =
+    (* Backups only accept transactions tagged with their configuration
+       (paper Sec. III-A). *)
+    if cfg = r.cfg.Config.seq && in_cfg r && r.self <> r.st.primary then
+      if gseq = r.gseq + 1 then begin
+        ignore (exec_and_record ctx r txn);
+        send_db ctx r.st.primary (Db_msg.Ack { cfg; gseq })
+      end
+      else if gseq <= r.gseq then
+        (* Duplicate (already executed): just re-acknowledge. *)
+        send_db ctx r.st.primary (Db_msg.Ack { cfg; gseq })
+      else
+        (* Ahead of us: normal processing resumed while our snapshot is
+           still installing — buffer and replay once it lands. *)
+        r.st.fwd_buffer <- (gseq, txn) :: r.st.fwd_buffer
 
   (* Chain replication (van Renesse & Schneider), the other classic
      protocol the paper's broadcast service supports: updates enter at the
      head, flow down the chain, and the tail answers — its reply proves
      every replica executed. Read-only transactions are served directly by
      the tail. *)
-  let handle_chain_client_txn ctx r txn =
-    if not (r.running && in_cfg r) then ()
-    else if List.mem txn.Txn.kind r.read_kinds then
-      if r.p_self = chain_tail r then begin
-        match Hashtbl.find_opt r.client_tbl txn.Txn.client with
-        | Some old when old.Txn.seq = txn.Txn.seq ->
-            send_db ctx txn.Txn.client (Db_msg.Reply old)
-        | Some old when old.Txn.seq > txn.Txn.seq -> ()
-        | Some _ | None ->
+  let chain_pass ctx r txn =
+    let reply = exec_and_record ctx r txn in
+    match chain_successor r with
+    | Some next ->
+        R.charge ctx fwd_overhead;
+        send_db ctx next
+          (Db_msg.Forward { cfg = r.cfg.Config.seq; gseq = r.gseq; txn })
+    | None -> send_db ctx txn.Txn.client (Db_msg.Reply reply)
+
+  let chain_client_txn ~read_kinds ctx r txn =
+    if not (r.st.running && in_cfg r) then ()
+    else if List.mem txn.Txn.kind read_kinds then
+      if r.self = chain_tail r then
+        dedup ctx r txn (fun () ->
             (* Reads execute at the tail only; they do not advance the
                chain's update sequence. *)
-            let reply = Txn.execute r.reg r.db txn in
-            R.charge ctx (r.tun.exec_overhead +. Database.take_cost r.db);
-            Hashtbl.replace r.client_tbl txn.Txn.client reply;
-            send_db ctx txn.Txn.client (Db_msg.Reply reply)
-      end
+            let reply = execute ctx r txn in
+            Hashtbl.replace r.st.client_tbl txn.Txn.client reply;
+            send_db ctx txn.Txn.client (Db_msg.Reply reply))
       else send_db ctx (chain_tail r) (Db_msg.Client_txn txn)
-    else if r.p_self = chain_head r then begin
-      match Hashtbl.find_opt r.client_tbl txn.Txn.client with
-      | Some old when old.Txn.seq = txn.Txn.seq ->
-          send_db ctx txn.Txn.client (Db_msg.Reply old)
-      | Some old when old.Txn.seq > txn.Txn.seq -> ()
-      | Some _ | None -> (
-          let reply = exec_and_record ctx r txn in
-          match chain_successor r with
-          | Some next ->
-              R.charge ctx r.tun.fwd_overhead;
-              send_db ctx next
-                (Db_msg.Forward { cfg = r.cfg.Config.seq; gseq = r.gseq; txn })
-          | None -> send_db ctx txn.Txn.client (Db_msg.Reply reply))
-    end
+    else if r.self = chain_head r then
+      dedup ctx r txn (fun () -> chain_pass ctx r txn)
     else send_db ctx (chain_head r) (Db_msg.Client_txn txn)
 
-  let handle_client_txn ctx r txn =
-    if r.style = Chain then handle_chain_client_txn ctx r txn
-    else if not (r.running && in_cfg r) then ()
-    else if r.p_self <> r.primary then
-      (* Misrouted: pass it on (the reply goes straight to the client). *)
-      send_db ctx r.primary (Db_msg.Client_txn txn)
-    else begin
-      match Hashtbl.find_opt r.client_tbl txn.Txn.client with
-      | Some old when old.Txn.seq = txn.Txn.seq ->
-          send_db ctx txn.Txn.client (Db_msg.Reply old)
-      | Some old when old.Txn.seq > txn.Txn.seq -> ()
-      | Some _ | None ->
-          let reply = exec_and_record ctx r txn in
-          let bs = backups r in
-          (* Forward to every backup, but wait only for the recovered ones
-             (a snapshotting backup buffers and acknowledges later). *)
-          let awaited =
-            if Sim.Node_id.Set.is_empty r.recovered_set then bs
-            else List.filter (fun b -> Sim.Node_id.Set.mem b r.recovered_set) bs
-          in
-          if awaited = [] && bs = [] then
-            send_db ctx txn.Txn.client (Db_msg.Reply reply)
-          else begin
-            Hashtbl.replace r.pending r.gseq
-              ( txn,
-                ref (Sim.Node_id.Set.of_list (if awaited = [] then bs else awaited)) );
-            let fwd =
-              Db_msg.Forward { cfg = r.cfg.Config.seq; gseq = r.gseq; txn }
-            in
-            List.iter
-              (fun b ->
-                R.charge ctx r.tun.fwd_overhead;
-                send_db ctx b fwd)
-              bs
-          end
-    end
+  let chain_forward ctx r ~cfg ~gseq ~txn =
+    if cfg = r.cfg.Config.seq && in_cfg r then
+      if gseq = r.gseq + 1 then chain_pass ctx r txn
+      else if gseq > r.gseq + 1 then
+        r.st.fwd_buffer <- (gseq, txn) :: r.st.fwd_buffer
 
-  let handle_ack ctx r ~cfg ~gseq ~src =
-    if cfg = r.cfg.Config.seq && r.p_self = r.primary then
-      match Hashtbl.find_opt r.pending gseq with
-      | None -> ()
-      | Some (txn, missing) ->
-          missing := Sim.Node_id.Set.remove src !missing;
-          R.charge ctx (r.tun.fwd_overhead /. 2.0);
-          if Sim.Node_id.Set.is_empty !missing then begin
-            Hashtbl.remove r.pending gseq;
-            match Hashtbl.find_opt r.client_tbl txn.Txn.client with
-            | Some reply when reply.Txn.seq = txn.Txn.seq ->
-                send_db ctx txn.Txn.client (Db_msg.Reply reply)
-            | Some _ | None -> ()
-          end
+  (* [client_txn] and [forward] are the style's normal case; election,
+     state transfer and reconfiguration are common to both. *)
+  let pbr_replica_handler ~client_txn ~forward ~shared ~all_ref ~tob_ref
+      ~backend ~setup ~registry ~tun ~initial_members =
+    replica_node shared
+      ~init:(fun ctx ->
+        let self = R.self ctx in
+        let db = fresh_db backend setup in
+        let members = initial_members () in
+        make_replica ~self ~all:!all_ref ~db ~reg:(registry ()) ~tun ~members
+          ~gseq:0
+          {
+            tob_members = !tob_ref;
+            primary = List.fold_left min max_int members;
+            running = List.mem self members;
+            cache = Cache.create tun.cache_cap;
+            client_tbl = Hashtbl.create 64;
+            pending = Hashtbl.create 64;
+            elect_votes = [];
+            elected = true;
+            awaiting_recovered = Sim.Node_id.Set.empty;
+            recovered_set = Sim.Node_id.Set.empty;
+            fwd_buffer = [];
+          })
+      (fun ctx r input ->
+        match input with
+        | R.Init -> start_detector ctx r
+        | R.Timer { tag = "hb"; _ } -> heartbeat ctx r ~active:(in_cfg r)
+        | R.Timer { tag = "detect"; _ } ->
+            if in_cfg r then
+              check_suspicion ctx r ~propose:(propose_reconfig ctx r);
+            (* Re-send election votes until the election concludes: a vote
+               sent before a peer adopted the configuration is lost. *)
+            if in_cfg r && not r.st.elected then
+              send_members ctx r
+                (Db_msg.Elect { cfg = r.cfg.Config.seq; last_seq = r.gseq });
+            arm_detect ctx r
+        | R.Timer _ -> ()
+        | R.Recv { msg = Note d; _ } -> (
+            match decode_payload d.Tob.entry.Tob.payload with
+            | P_reconfig (proposal, _, _)
+              when proposal.Config.seq = r.cfg.Config.seq + 1 ->
+                adopt_config ctx r proposal
+            | _ -> ())
+        | R.Recv { msg = Svc _; _ } -> ()
+        | R.Recv { src; msg = Db m } -> (
+            match m with
+            | Db_msg.Client_txn txn -> client_txn ctx r txn
+            | Db_msg.Forward { cfg; gseq; txn } -> forward ctx r ~cfg ~gseq ~txn
+            | Db_msg.Ack { cfg; gseq } -> handle_ack ctx r ~cfg ~gseq ~src
+            | Db_msg.Heartbeat _ -> Hashtbl.replace r.last_hb src (R.time ctx)
+            | Db_msg.Elect { cfg; last_seq } ->
+                handle_elect ctx r ~src ~cfg ~last_seq
+            | Db_msg.Catchup { cfg; txns; upto } ->
+                handle_catchup ctx r ~src ~cfg ~txns ~upto
+            | Db_msg.Snapshot { cfg; rows; upto; last; clients } ->
+                handle_snapshot ctx r ~forward ~src ~cfg ~rows ~upto ~last
+                  ~clients
+            | Db_msg.Recovered { cfg } -> handle_recovered r ~src ~cfg
+            | Db_msg.Reply _ | Db_msg.Snapshot_req _ | Db_msg.Vote _ -> ()))
 
-  let check_suspicion ctx r =
-    if in_cfg r then begin
-      let now = R.time ctx in
-      let suspects =
-        List.filter
-          (fun m ->
-            m <> r.p_self
-            &&
-            match Hashtbl.find_opt r.last_hb m with
-            | Some t -> now -. t > r.tun.detect_timeout
-            | None -> false)
-          r.cfg.Config.members
-      in
-      (* Re-propose at most once per detection interval while the
-         suspicion persists (the first delivered proposal wins). *)
-      if suspects <> [] && now -. r.proposed_at > r.tun.detect_timeout /. 2.0
-      then propose_reconfig ctx r suspects
-    end
-
-  let handle_note ctx r (d : Tob.deliver) =
-    match decode_payload d.Tob.entry.Tob.payload with
-    | P_reconfig (proposal, _, _) ->
-        if proposal.Config.seq = r.cfg.Config.seq + 1 then
-          adopt_config ctx r proposal
-    | P_txn _ | P_prepare _ | P_decision _ | P_bytes _ -> ()
-
-  let pbr_replica_handler ~style ~read_kinds ~shared ~all_ref ~tob_ref
-      ~backend ~setup ~registry ~tun ~initial_members () =
-    let r_holder = ref None in
-    let get ctx =
-      match !r_holder with
-      | Some r -> r
-      | None ->
-          let self = R.self ctx in
-          let db = Database.create backend in
-          setup db;
-          ignore (Database.take_cost db);
-          let members = initial_members () in
-          let r =
-            {
-              style;
-              read_kinds;
-              p_self = self;
-              p_all = !all_ref;
-              p_tob = !tob_ref;
-              db;
-              reg = registry ();
-              tun;
-              cfg = Config.initial members;
-              primary = List.fold_left min max_int members;
-              running = Config.contains (Config.initial members) self;
-              gseq = 0;
-              cache = Cache.create tun.cache_cap;
-              client_tbl = Hashtbl.create 64;
-              pending = Hashtbl.create 64;
-              last_hb = Hashtbl.create 8;
-              elect_votes = [];
-              elected = true;
-              awaiting_recovered = Sim.Node_id.Set.empty;
-              recovered_set = Sim.Node_id.Set.empty;
-              snapshot_started = false;
-              fwd_buffer = [];
-              tob_seq = 0;
-              proposed_at = -1.0e9;
-            }
-          in
-          reset_hb ctx r;
-          Registry.set shared self r;
-          r_holder := Some r;
-          r
-    in
-    fun ctx input ->
-      let r = get ctx in
-      match input with
-      | R.Init ->
-          ignore (R.set_timer ctx r.tun.hb_interval "hb");
-          ignore (R.set_timer ctx (r.tun.detect_timeout /. 4.0) "detect")
-      | R.Timer { tag = "hb"; _ } ->
-          if in_cfg r then begin
-            let hb = Db_msg.Heartbeat { cfg = r.cfg.Config.seq } in
-            List.iter
-              (fun m -> if m <> r.p_self then send_db ctx m hb)
-              r.cfg.Config.members
-          end;
-          ignore (R.set_timer ctx r.tun.hb_interval "hb")
-      | R.Timer { tag = "detect"; _ } ->
-          check_suspicion ctx r;
-          (* Re-send election votes until the election concludes: a vote
-             sent before a peer adopted the configuration is lost. *)
-          if in_cfg r && not r.elected then begin
-            let msg =
-              Db_msg.Elect { cfg = r.cfg.Config.seq; last_seq = r.gseq }
-            in
-            List.iter
-              (fun m -> if m <> r.p_self then send_db ctx m msg)
-              r.cfg.Config.members
-          end;
-          ignore (R.set_timer ctx (r.tun.detect_timeout /. 4.0) "detect")
-      | R.Timer _ -> ()
-      | R.Recv { src; msg } -> (
-          match msg with
-          | Note d -> handle_note ctx r d
-          | Svc _ -> ()
-          | Db m -> (
-              match m with
-              | Db_msg.Client_txn txn -> handle_client_txn ctx r txn
-              | Db_msg.Forward { cfg; gseq; txn } ->
-                  handle_forward ctx r ~cfg ~gseq ~txn
-              | Db_msg.Ack { cfg; gseq } -> handle_ack ctx r ~cfg ~gseq ~src
-              | Db_msg.Reply _ -> ()
-              | Db_msg.Heartbeat _ ->
-                  Hashtbl.replace r.last_hb src (R.time ctx)
-              | Db_msg.Elect { cfg; last_seq } ->
-                  handle_elect ctx r ~src ~cfg ~last_seq
-              | Db_msg.Catchup { cfg; txns; upto } ->
-                  handle_catchup ctx r ~src ~cfg ~txns ~upto
-              | Db_msg.Snapshot { cfg; rows; upto; last; clients } ->
-                  handle_snapshot ctx r ~src ~cfg ~rows ~upto ~last ~clients
-              | Db_msg.Recovered { cfg } -> handle_recovered r ~src ~cfg
-              | Db_msg.Snapshot_req _ | Db_msg.Vote _ -> ()))
-
-  let spawn_pbr ?(style = Primary_backup) ?(read_kinds = [])
-      ?(tun = default_tuning) ?(backends : Storage.Store.kind list option)
-      ?(tob_profile = Gpm.Engine_profile.Interpreted_opt) ?tob_window ~world
-      ~registry ~setup ~n_active ~n_spare () =
-    let n = n_active + n_spare in
-    let shared : pbr_replica Registry.t = Registry.create () in
+  let spawn_replicas ~client_txn ~forward ~tun ~backends ~tob_window ~world
+      ~registry ~setup ~n_active ~n_spare =
+    let shared : pbr_state replica Registry.t = Registry.create () in
     let all_ref = ref [] in
     let tob_ref = ref [] in
     let initial_members () = List.filteri (fun i _ -> i < n_active) !all_ref in
-    let backend_of i =
-      match backends with
-      | None -> Storage.Store.Hazel
-      | Some bs -> List.nth bs (i mod List.length bs)
-    in
     let replicas =
-      List.init n (fun i ->
+      List.init (n_active + n_spare) (fun i ->
           R.spawn world
             ~name:(Printf.sprintf "pbr%d" i)
-            (pbr_replica_handler ~style ~read_kinds ~shared ~all_ref ~tob_ref
-               ~backend:(backend_of i) ~setup ~registry ~tun ~initial_members))
+            (pbr_replica_handler ~client_txn ~forward ~shared ~all_ref
+               ~tob_ref ~backend:(backend_of backends i) ~setup ~registry ~tun
+               ~initial_members))
     in
     all_ref := replicas;
+    (* The paper runs PBR's broadcast service interpreted. *)
     let tob =
-      Shell.spawn ~profile:tob_profile ?window:tob_window ~world
+      Shell.spawn ~profile:Gpm.Engine_profile.Interpreted_opt ?window:tob_window
+        ~world
         ~inj:(fun m -> Svc m)
         ~prj:(function Svc m -> Some m | Note _ | Db _ -> None)
         ~inj_notify:(fun d -> Note d)
@@ -727,17 +765,24 @@ module Make (C : Consensus.Consensus_intf.S) = struct
       pbr_replicas = replicas;
       pbr_tob = tob;
       pbr_initial_primary = List.fold_left min max_int (initial_members ());
-      pbr_primary_of = (fun l -> view l (fun r -> r.primary) ~default:(-1));
+      pbr_primary_of = (fun l -> view l (fun r -> r.st.primary) ~default:(-1));
       pbr_cfg_of = (fun l -> view l (fun r -> r.cfg.Config.seq) ~default:(-1));
       pbr_gseq_of = (fun l -> view l (fun r -> r.gseq) ~default:0);
       pbr_hash_of =
         (fun l -> view l (fun r -> Database.content_hash r.db) ~default:0);
     }
 
-  let spawn_chain ?read_kinds ?tun ?backends ?tob_profile ?tob_window ~world
-      ~registry ~setup ~n_active ~n_spare () =
-    spawn_pbr ~style:Chain ?read_kinds ?tun ?backends ?tob_profile ?tob_window
-      ~world ~registry ~setup ~n_active ~n_spare ()
+  let spawn_pbr ?(tun = default_tuning) ?backends ?tob_window ~world ~registry
+      ~setup ~n_active ~n_spare () =
+    spawn_replicas ~client_txn:pbr_client_txn ~forward:pbr_forward ~tun
+      ~backends ~tob_window ~world ~registry ~setup ~n_active ~n_spare
+
+  let spawn_chain ?(read_kinds = []) ?(tun = default_tuning) ?backends
+      ?tob_window ~world ~registry ~setup ~n_active ~n_spare () =
+    spawn_replicas
+      ~client_txn:(chain_client_txn ~read_kinds)
+      ~forward:chain_forward ~tun ~backends ~tob_window ~world ~registry ~setup
+      ~n_active ~n_spare
 
   (* ------------------------------------------------------------------ *)
   (* State machine replication                                           *)
@@ -903,27 +948,32 @@ module Make (C : Consensus.Consensus_intf.S) = struct
            mid-2PC would lack lock/stage state. *)
         ()
 
-  type smr_replica = {
-    s_self : loc;
-    s_nodes : loc list;  (* the three co-located TOB/DB machines *)
-    sdb : Database.t;
-    sreg : Txn.registry;
-    stun : tuning;
-    costs : Broadcast.Shell.costs;
+
+  let x2pc_send_vote ctx x ~participants ~vote ~vtxn =
+    send_db ctx x.xcfg.xc_coord
+      (Db_msg.Vote { shard = x.xcfg.xc_shard; participants; vote; vtxn })
+
+  (* Resend the yes-votes of every still-staged xid (sorted for
+     determinism): a vote sent before the coordinator crashed — or lost
+     with a crashed shard replica — must keep flowing until the decision
+     arrives. Runs on the same periodic timer as failure detection. *)
+  let x2pc_resend_votes ctx x =
+    let entries = Hashtbl.fold (fun xid g acc -> (xid, g) :: acc) x.staged [] in
+    List.iter
+      (fun (_, g) ->
+        x2pc_send_vote ctx x ~participants:g.g_participants ~vote:g.g_vote
+          ~vtxn:g.g_txn)
+      (List.sort (fun (a, _) (b, _) -> compare a b) entries)
+
+  type smr_state = {
     mutable tob : TM.t;
-    mutable scfg : Config.t;
     mutable role : smr_role;
-    mutable sgseq : int;  (* delivered entries counted by every node *)
     mutable buffered : Txn.t list;  (* delivered while syncing, oldest first *)
     mutable pending_snapshot :
       ((string * Value.t array) list * int) option;
         (* proposer-side snapshot taken at reconfig delivery *)
-    mutable snap_started : bool;
     mutable sync_proposer : loc option;
         (* who to (re-)request the snapshot from while Syncing *)
-    s_last_hb : (loc, float) Hashtbl.t;
-    mutable s_proposed_at : float;
-    mutable s_tob_seq : int;
     sx2pc : x2pc option;  (* 2PC participant state, sharded mode only *)
     sdur : Durable.Manager.t option;  (* write-ahead durability, if on *)
     mutable sdur_floor : int;
@@ -945,36 +995,33 @@ module Make (C : Consensus.Consensus_intf.S) = struct
            initialized *)
   }
 
-  let smr_exec ctx r txn =
-    let reply = Txn.execute r.sreg r.sdb txn in
-    R.charge ctx (r.stun.exec_overhead +. Database.take_cost r.sdb);
-    send_db ctx txn.Txn.client (Db_msg.Reply reply)
+  let tob_costs = Broadcast.Shell.default_costs
+
+  let smr_exec ctx r (txn : Txn.t) =
+    send_db ctx txn.Txn.client (Db_msg.Reply (execute ctx r txn))
+
+  let request_snapshot ctx r proposer =
+    send_db ctx proposer
+      (Db_msg.Snapshot_req { cfg = r.cfg.Config.seq; from_seq = r.gseq })
 
   let smr_adopt ctx r proposal ~proposer =
-    r.scfg <- proposal;
-    List.iter
-      (fun m -> Hashtbl.replace r.s_last_hb m (R.time ctx))
-      proposal.Config.members;
-    let member = Config.contains proposal r.s_self in
-    match (r.role, member) with
-    | Active, true -> ()
-    | Active, false ->
-        r.role <- Sparing;
-        r.buffered <- []
+    let s = r.st in
+    r.cfg <- proposal;
+    reset_hb ctx r proposal.Config.members;
+    let member = Config.contains proposal r.self in
+    match (s.role, member) with
+    | Active, true | Sparing, false | Syncing, true -> ()
+    | (Active | Syncing), false ->
+        s.role <- Sparing;
+        s.buffered <- []
     | Sparing, true ->
         (* Activated: buffer subsequent transactions and fetch the
            snapshot corresponding to this point of the total order. *)
-        r.role <- Syncing;
-        r.buffered <- [];
-        r.snap_started <- false;
-        r.sync_proposer <- Some proposer;
-        send_db ctx proposer
-          (Db_msg.Snapshot_req { cfg = proposal.Config.seq; from_seq = r.sgseq })
-    | Sparing, false -> ()
-    | Syncing, true -> ()
-    | Syncing, false ->
-        r.role <- Sparing;
-        r.buffered <- []
+        s.role <- Syncing;
+        s.buffered <- [];
+        r.loading <- false;
+        s.sync_proposer <- Some proposer;
+        request_snapshot ctx r proposer
 
   (* One WAL record per applied transaction: [idx] is the TOB delivery
      seqno (the position in the total order), [aux] the replica's
@@ -984,408 +1031,280 @@ module Make (C : Consensus.Consensus_intf.S) = struct
   let smr_durable_record r (d : Tob.deliver) =
     {
       Durable.Wal.idx = d.Tob.seqno;
-      aux = r.sgseq;
-      hash = Database.content_hash r.sdb;
+      aux = r.gseq;
+      hash = Database.content_hash r.db;
       payload = d.Tob.entry.Tob.payload;
     }
 
   let smr_durable_image ctx r =
-    let rows = Database.dump r.sdb in
-    R.charge ctx (Database.take_cost r.sdb);
+    let rows = Database.dump r.db in
+    R.charge ctx (Database.take_cost r.db);
     Codec.encode_rows rows
 
+  (* An active replica applies a delivered entry: [apply] executes it,
+     framed by the conformance observations and the WAL record. Sharded
+     replicas take no snapshots: one would capture the database but not
+     the lock/stage tables, so they recover by full-log replay. *)
+  let smr_apply ctx r (d : Tob.deliver) apply =
+    if R.observing ctx then
+      R.observe ctx
+        (R.Ob_deliver
+           {
+             seqno = d.Tob.seqno;
+             origin = d.Tob.entry.Tob.origin;
+             id = d.Tob.entry.Tob.id;
+             payload = d.Tob.entry.Tob.payload;
+           });
+    apply ();
+    (match r.st.sdur with
+    | None -> ()
+    | Some mgr ->
+        Durable.Manager.append mgr (smr_durable_record r d);
+        if Option.is_none r.st.sx2pc then
+          Durable.Manager.maybe_snapshot mgr ~payload:(fun () ->
+              smr_durable_image ctx r));
+    if R.observing ctx then
+      R.observe ctx
+        (R.Ob_checkpoint
+           {
+             gseq = r.gseq;
+             seqno = d.Tob.seqno;
+             hash = Database.content_hash r.db;
+           })
+
   let smr_deliver ctx r (d : Tob.deliver) =
-    if r.sdur <> None && d.Tob.seqno <= r.sdur_floor then
+    let s = r.st in
+    if s.sdur <> None && d.Tob.seqno <= s.sdur_floor then
       (* Duplicate of recovered state: a restarted broadcast member
          re-delivers entries the WAL already covers. Skip entirely — the
-         recovered [sgseq] already counted them. *)
+         recovered [gseq] already counted them. *)
       ()
     else begin
-      r.sdur_floor <- max r.sdur_floor d.Tob.seqno;
-      R.charge ctx r.costs.Broadcast.Shell.per_entry;
-      r.sgseq <- r.sgseq + 1;
-      match r.sx2pc with
-      | Some x ->
+      s.sdur_floor <- max s.sdur_floor d.Tob.seqno;
+      R.charge ctx tob_costs.Broadcast.Shell.per_entry;
+      r.gseq <- r.gseq + 1;
+      match (s.sx2pc, decode_payload d.Tob.entry.Tob.payload) with
+      | Some x, payload ->
           (* Sharded mode: every delivery (transaction, prepare or
              decision) flows through the 2PC participant step, and every
              delivery is WAL-logged so recovery replays the identical
-             sequence. No snapshots here — a snapshot would capture the
-             database but not the lock/stage tables, so sharded replicas
-             recover by full-log replay. *)
-          if r.role = Active then begin
-            if R.observing ctx then
-              R.observe ctx
-                (R.Ob_deliver
-                   {
-                     seqno = d.Tob.seqno;
-                     origin = d.Tob.entry.Tob.origin;
-                     id = d.Tob.entry.Tob.id;
-                     payload = d.Tob.entry.Tob.payload;
-                   });
-            x2pc_apply ~sreg:r.sreg ~db:r.sdb x
-              (decode_payload d.Tob.entry.Tob.payload)
-              ~exec_reply:(fun txn -> smr_exec ctx r txn)
-              ~exec:(fun txn ->
-                ignore (Txn.execute r.sreg r.sdb txn);
-                R.charge ctx
-                  (r.stun.exec_overhead +. Database.take_cost r.sdb))
-              ~send_vote:(fun ~participants ~vote ~vtxn ->
-                send_db ctx x.xcfg.xc_coord
-                  (Db_msg.Vote
-                     { shard = x.xcfg.xc_shard; participants; vote; vtxn }));
-            (match r.sdur with
-            | None -> ()
-            | Some mgr -> Durable.Manager.append mgr (smr_durable_record r d));
-            if R.observing ctx then
-              R.observe ctx
-                (R.Ob_checkpoint
-                   {
-                     gseq = r.sgseq;
-                     seqno = d.Tob.seqno;
-                     hash = Database.content_hash r.sdb;
-                   })
-          end
-      | None -> (
-      match decode_payload d.Tob.entry.Tob.payload with
-      | P_txn txn -> (
-          match r.role with
-          | Active ->
-              if R.observing ctx then
-                R.observe ctx
-                  (R.Ob_deliver
-                     {
-                       seqno = d.Tob.seqno;
-                       origin = d.Tob.entry.Tob.origin;
-                       id = d.Tob.entry.Tob.id;
-                       payload = d.Tob.entry.Tob.payload;
-                     });
-              smr_exec ctx r txn;
-              (match r.sdur with
-              | None -> ()
-              | Some mgr ->
-                  Durable.Manager.append mgr (smr_durable_record r d);
-                  Durable.Manager.maybe_snapshot mgr ~payload:(fun () ->
-                      smr_durable_image ctx r));
-              if R.observing ctx then
-                R.observe ctx
-                  (R.Ob_checkpoint
-                     {
-                       gseq = r.sgseq;
-                       seqno = d.Tob.seqno;
-                       hash = Database.content_hash r.sdb;
-                     })
-          | Syncing -> r.buffered <- r.buffered @ [ txn ]
+             sequence. *)
+          if s.role = Active then
+            smr_apply ctx r d (fun () ->
+                x2pc_apply ~sreg:r.reg ~db:r.db x payload
+                  ~exec_reply:(smr_exec ctx r)
+                  ~exec:(fun txn -> ignore (execute ctx r txn))
+                  ~send_vote:(x2pc_send_vote ctx x))
+      | None, P_txn txn -> (
+          match s.role with
+          | Active -> smr_apply ctx r d (fun () -> smr_exec ctx r txn)
+          | Syncing -> s.buffered <- s.buffered @ [ txn ]
           | Sparing -> ())
-      | P_reconfig (proposal, _, proposer) ->
-          if proposal.Config.seq = r.scfg.Config.seq + 1 then begin
+      | None, P_reconfig (proposal, _, proposer) ->
+          if proposal.Config.seq = r.cfg.Config.seq + 1 then begin
             (* The proposer snapshots its database at this exact point of
                the delivery order, so the spare can take over from here. *)
-            if r.s_self = proposer && r.role = Active then begin
-              r.pending_snapshot <- Some (Database.dump r.sdb, r.sgseq);
-              R.charge ctx (Database.take_cost r.sdb)
+            if r.self = proposer && s.role = Active then begin
+              s.pending_snapshot <- Some (Database.dump r.db, r.gseq);
+              R.charge ctx (Database.take_cost r.db)
             end;
             smr_adopt ctx r proposal ~proposer
           end
-      | P_prepare _ | P_decision _ -> ()  (* sharded records, plain group *)
-      | P_bytes _ -> ())
+      | None, (P_prepare _ | P_decision _ | P_bytes _) -> ()
     end
 
   let smr_feed_tob ctx r (t, acts) =
-    r.tob <- t;
+    r.st.tob <- t;
     List.iter
       (function
         | TM.Send (dst, m) ->
             R.send ctx ~size:256 dst (Svc m)
         | TM.Notify (dst, d) ->
-            if dst = r.s_self then smr_deliver ctx r d
+            if dst = r.self then smr_deliver ctx r d
             else R.send ctx dst (Note d)
         | TM.Set_timer delay -> ignore (R.set_timer ctx delay "tob"))
       acts
 
-  let smr_broadcast ctx r payload =
-    r.s_tob_seq <- r.s_tob_seq + 1;
-    let entry = { Tob.origin = r.s_self; id = r.s_tob_seq; payload } in
-    smr_feed_tob ctx r
-      (TM.recv r.tob ~now:(R.time ctx) ~src:r.s_self (TM.Broadcast entry))
-
-  let smr_check_suspicion ctx r =
-    (* A syncing spare re-requests the snapshot until it arrives (the
-       proposer may deliver the reconfiguration after we did). *)
-    (match (r.role, r.sync_proposer) with
-    | Syncing, Some proposer when not r.snap_started ->
-        send_db ctx proposer
-          (Db_msg.Snapshot_req { cfg = r.scfg.Config.seq; from_seq = r.sgseq })
-    | _ -> ());
-    if r.role = Active then begin
-      let now = R.time ctx in
-      let suspects =
-        List.filter
-          (fun m ->
-            m <> r.s_self
-            &&
-            match Hashtbl.find_opt r.s_last_hb m with
-            | Some t -> now -. t > r.stun.detect_timeout
-            | None -> false)
-          r.scfg.Config.members
-      in
-      if suspects <> [] && now -. r.s_proposed_at > r.stun.detect_timeout /. 2.0
-      then begin
-        r.s_proposed_at <- now;
-        let spares =
-          List.filter (fun m -> not (Config.contains r.scfg m)) r.s_nodes
-        in
-        let add = List.filteri (fun i _ -> i < List.length suspects) spares in
-        let proposal = Config.next r.scfg ~remove:suspects ~add in
-        smr_broadcast ctx r
-          (tob_payload_reconfig proposal ~last_seq:r.sgseq ~proposer:r.s_self)
-      end
-    end
-
-  (* Resend the yes-votes of every still-staged xid (sorted for
-     determinism): a vote sent before the coordinator crashed — or lost
-     with a crashed shard replica — must keep flowing until the decision
-     arrives. Runs on the same periodic timer as failure detection. *)
-  let x2pc_resend_votes ctx x =
-    let entries = Hashtbl.fold (fun xid g acc -> (xid, g) :: acc) x.staged [] in
-    List.iter
-      (fun (_, g) ->
-        send_db ctx x.xcfg.xc_coord
-          (Db_msg.Vote
-             {
-               shard = x.xcfg.xc_shard;
-               participants = g.g_participants;
-               vote = g.g_vote;
-               vtxn = g.g_txn;
-             }))
-      (List.sort (fun (a, _) (b, _) -> compare a b) entries)
-
   let smr_handler ~shared ~nodes_ref ~backend ~setup ~registry ~tun
-      ~costs ~tob_window ~n_active ~durable ~x2pc () =
-    let holder = ref None in
-    let get ctx =
-      match !holder with
-      | Some r -> r
-      | None ->
-          let self = R.self ctx in
-          let db = Database.create backend in
-          setup db;
-          ignore (Database.take_cost db);
-          let sreg = registry () in
-          (* 2PC participant state precedes recovery so WAL replay can
-             repopulate it. *)
-          let xstate =
-            Option.map
-              (fun xcfg ->
-                {
-                  xcfg;
-                  x_self = self;
-                  staged = Hashtbl.create 16;
-                  locks = Hashtbl.create 64;
-                  deferred = [];
-                  applied = Hashtbl.create 64;
-                })
-              x2pc
-          in
-          (* Deterministic recovery, run on the node's first event after
-             every (re)start: install the latest valid snapshot, truncate
-             any torn WAL tail, replay the remaining records through the
-             normal transaction engine. A fresh node recovers from an
-             empty backend to the initial state. *)
-          let recovery =
-            match durable with
-            | None -> None
-            | Some (i, dur) ->
-                let install (w : Durable.Wal.record) =
-                  match Codec.decode_rows w.Durable.Wal.payload with
-                  | Ok rows -> (
-                      Database.clear_data db;
-                      match Database.load_rows db rows with
-                      | Ok () -> ()
-                      | Error e ->
-                          Sim.Invariant.fail "durable"
-                            "node %d: snapshot install failed: %s" i e)
-                  | Error e ->
-                      Sim.Invariant.fail "durable"
-                        "node %d: snapshot payload undecodable: %s" i e
-                in
-                let apply (w : Durable.Wal.record) =
-                  match xstate with
-                  | Some x ->
-                      (* Replay the identical participant step with sends
-                         suppressed: database, locks, staged votes,
-                         deferred queue and applied-decision set all come
-                         back exactly as logged. Votes flow again via the
-                         periodic resend timer, not here. *)
-                      let silent txn = ignore (Txn.execute sreg db txn) in
-                      x2pc_apply ~sreg ~db x
-                        (decode_payload w.Durable.Wal.payload)
-                        ~exec_reply:silent ~exec:silent
-                        ~send_vote:(fun ~participants:_ ~vote:_ ~vtxn:_ -> ())
-                  | None -> (
-                      match decode_payload w.Durable.Wal.payload with
-                      | P_txn txn -> ignore (Txn.execute sreg db txn)
-                      | P_reconfig _ | P_prepare _ | P_decision _
-                      | P_bytes _ ->
-                          ())
-                in
-                let mgr, report =
-                  Durable.Manager.recover (dur.dur_backend i)
-                    (dur.dur_policy i) ~install ~apply
-                in
-                dur.dur_on_recover i report
-                  ~state_hash:(Database.content_hash db);
-                Some (mgr, report)
-          in
-          let nodes = !nodes_ref in
-          let members = List.filteri (fun i _ -> i < n_active) nodes in
-          let r =
-            {
-              s_self = self;
-              s_nodes = nodes;
-              sdb = db;
-              sreg;
-              stun = tun;
-              costs;
-              tob =
-                TM.create ?window:tob_window ~self ~members:nodes
-                  ~subscribers:[ self ] ();
-              scfg = Config.initial members;
-              role = (if List.mem self members then Active else Sparing);
-              sgseq =
-                (match recovery with
-                | Some (_, rep) -> rep.Durable.Manager.recovered_aux
-                | None -> 0);
-              buffered = [];
-              pending_snapshot = None;
-              snap_started = false;
-              sync_proposer = None;
-              s_last_hb = Hashtbl.create 8;
-              s_proposed_at = -1.0e9;
-              s_tob_seq = 0;
-              sx2pc = xstate;
-              sdur = Option.map fst recovery;
-              sdur_floor =
-                (match recovery with
-                | Some (_, rep) -> rep.Durable.Manager.recovered_idx
-                | None -> -1);
-            }
-          in
-          List.iter
-            (fun m -> Hashtbl.replace r.s_last_hb m (R.time ctx))
-            members;
-          Registry.set shared self r;
-          holder := Some r;
-          r
-    in
-    fun ctx input ->
-      let r = get ctx in
-      match input with
-      | R.Init ->
-          smr_feed_tob ctx r (TM.start r.tob ~now:(R.time ctx));
-          ignore (R.set_timer ctx r.stun.hb_interval "hb");
-          ignore (R.set_timer ctx (r.stun.detect_timeout /. 4.0) "detect")
-      | R.Timer { tag = "tob"; _ } ->
-          smr_feed_tob ctx r (TM.tick r.tob ~now:(R.time ctx))
-      | R.Timer { tag = "hb"; _ } ->
-          if r.role = Active then begin
-            let hb = Db_msg.Heartbeat { cfg = r.scfg.Config.seq } in
-            List.iter
-              (fun m -> if m <> r.s_self then send_db ctx m hb)
-              r.scfg.Config.members
-          end;
-          ignore (R.set_timer ctx r.stun.hb_interval "hb")
-      | R.Timer { tag = "detect"; _ } ->
-          (match r.sx2pc with
-          | Some x ->
-              (* Sharded mode: no suspicion/reconfiguration (spares can't
-                 inherit 2PC state); the timer drives vote resends
-                 instead. *)
-              if r.role = Active then x2pc_resend_votes ctx x
-          | None -> smr_check_suspicion ctx r);
-          ignore (R.set_timer ctx (r.stun.detect_timeout /. 4.0) "detect")
-      | R.Timer _ -> ()
-      | R.Recv { src; msg } -> (
-          match msg with
-          | Svc m ->
-              (match m with
-              | TM.Broadcast _ ->
-                  R.charge ctx r.costs.Broadcast.Shell.client_msg
-              | TM.Core _ -> R.charge ctx r.costs.Broadcast.Shell.core_msg);
-              smr_feed_tob ctx r (TM.recv r.tob ~now:(R.time ctx) ~src m)
-          | Note d -> smr_deliver ctx r d
-          | Db (Db_msg.Heartbeat _) ->
-              Hashtbl.replace r.s_last_hb src (R.time ctx)
-          | Db (Db_msg.Snapshot_req { cfg; _ }) -> (
-              if cfg = r.scfg.Config.seq then
-                match r.pending_snapshot with
-                | None -> ()
-                | Some (rows, upto) ->
-                    let clients = [] in
-                    let rec chunk rows =
-                      let n = min r.stun.chunk_rows (List.length rows) in
-                      let head = List.filteri (fun i _ -> i < n) rows in
-                      let tail = List.filteri (fun i _ -> i >= n) rows in
-                      let last = tail = [] in
-                      send_db ctx src
-                        (Db_msg.Snapshot
-                           { cfg; rows = head; upto; last; clients });
-                      if not last then chunk tail
-                    in
-                    if rows = [] then
-                      send_db ctx src
-                        (Db_msg.Snapshot { cfg; rows = []; upto; last = true; clients })
-                    else chunk rows)
-          | Db (Db_msg.Snapshot { cfg; rows; upto = _; last; clients = _ }) ->
-              if cfg = r.scfg.Config.seq && r.role = Syncing then begin
-                if not r.snap_started then begin
-                  r.snap_started <- true;
-                  Database.clear_data r.sdb
-                end;
-                (match Database.load_rows r.sdb rows with
-                | Ok () | Error _ -> ());
-                R.charge ctx (Database.take_cost r.sdb);
-                if last then begin
-                  r.role <- Active;
-                  r.snap_started <- false;
-                  r.sync_proposer <- None;
-                  let todo = r.buffered in
-                  r.buffered <- [];
-                  List.iter (smr_exec ctx r) todo;
-                  (* The installed state supersedes whatever the WAL
-                     described: pin the transferred position and snapshot
-                     it so a crash right after state transfer recovers to
-                     here, not to the stale pre-transfer log. *)
-                  match r.sdur with
+      ~tob_window ~n_active ~durable ~x2pc =
+    replica_node shared
+      ~init:(fun ctx ->
+        let self = R.self ctx in
+        let db = fresh_db backend setup in
+        let sreg = registry () in
+        (* 2PC participant state precedes recovery so WAL replay can
+           repopulate it. *)
+        let xstate =
+          Option.map
+            (fun xcfg ->
+              {
+                xcfg;
+                x_self = self;
+                staged = Hashtbl.create 16;
+                locks = Hashtbl.create 64;
+                deferred = [];
+                applied = Hashtbl.create 64;
+              })
+            x2pc
+        in
+        (* Deterministic recovery, run on the node's first event after
+           every (re)start: install the latest valid snapshot, truncate
+           any torn WAL tail, replay the remaining records through the
+           normal transaction engine. A fresh node recovers from an
+           empty backend to the initial state. *)
+        let recovery =
+          match durable with
+          | None -> None
+          | Some (i, dur) ->
+              let install (w : Durable.Wal.record) =
+                match Codec.decode_rows w.Durable.Wal.payload with
+                | Ok rows -> (
+                    Database.clear_data db;
+                    match Database.load_rows db rows with
+                    | Ok () -> ()
+                    | Error e ->
+                        Sim.Invariant.fail "durable"
+                          "node %d: snapshot install failed: %s" i e)
+                | Error e ->
+                    Sim.Invariant.fail "durable"
+                      "node %d: snapshot payload undecodable: %s" i e
+              in
+              let apply (w : Durable.Wal.record) =
+                match xstate with
+                | Some x ->
+                    (* Replay the identical participant step with sends
+                       suppressed: database, locks, staged votes,
+                       deferred queue and applied-decision set all come
+                       back exactly as logged. Votes flow again via the
+                       periodic resend timer, not here. *)
+                    let silent txn = ignore (Txn.execute sreg db txn) in
+                    x2pc_apply ~sreg ~db x
+                      (decode_payload w.Durable.Wal.payload)
+                      ~exec_reply:silent ~exec:silent
+                      ~send_vote:(fun ~participants:_ ~vote:_ ~vtxn:_ -> ())
+                | None -> (
+                    match decode_payload w.Durable.Wal.payload with
+                    | P_txn txn -> ignore (Txn.execute sreg db txn)
+                    | P_reconfig _ | P_prepare _ | P_decision _ | P_bytes _
+                      ->
+                        ())
+              in
+              let mgr, report =
+                Durable.Manager.recover (dur.dur_backend i) (dur.dur_policy i)
+                  ~install ~apply
+              in
+              dur.dur_on_recover i report
+                ~state_hash:(Database.content_hash db);
+              Some (mgr, report)
+        in
+        let nodes = !nodes_ref in
+        let members = List.filteri (fun i _ -> i < n_active) nodes in
+        let gseq, floor =
+          match recovery with
+          | Some (_, rep) ->
+              Durable.Manager.(rep.recovered_aux, rep.recovered_idx)
+          | None -> (0, -1)
+        in
+        make_replica ~self ~all:nodes ~db ~reg:sreg ~tun ~members ~gseq
+          {
+            tob =
+              TM.create ?window:tob_window ~self ~members:nodes
+                ~subscribers:[ self ] ();
+            role = (if List.mem self members then Active else Sparing);
+            buffered = [];
+            pending_snapshot = None;
+            sync_proposer = None;
+            sx2pc = xstate;
+            sdur = Option.map fst recovery;
+            sdur_floor = floor;
+          })
+      (fun ctx r input ->
+        let s = r.st in
+        match input with
+        | R.Init ->
+            smr_feed_tob ctx r (TM.start s.tob ~now:(R.time ctx));
+            start_detector ctx r
+        | R.Timer { tag = "tob"; _ } ->
+            smr_feed_tob ctx r (TM.tick s.tob ~now:(R.time ctx))
+        | R.Timer { tag = "hb"; _ } -> heartbeat ctx r ~active:(s.role = Active)
+        | R.Timer { tag = "detect"; _ } ->
+            (match s.sx2pc with
+            | Some x ->
+                (* Sharded mode: no suspicion/reconfiguration (spares can't
+                   inherit 2PC state); the timer drives vote resends
+                   instead. *)
+                if s.role = Active then x2pc_resend_votes ctx x
+            | None ->
+                (* A syncing spare re-requests the snapshot until it
+                   arrives (the proposer may deliver the reconfiguration
+                   after we did). *)
+                (match (s.role, s.sync_proposer) with
+                | Syncing, Some proposer when not r.loading ->
+                    request_snapshot ctx r proposer
+                | _ -> ());
+                if s.role = Active then
+                  check_suspicion ctx r ~propose:(fun entry ->
+                      smr_feed_tob ctx r
+                        (TM.recv s.tob ~now:(R.time ctx) ~src:r.self
+                           (TM.Broadcast entry))));
+            arm_detect ctx r
+        | R.Timer _ -> ()
+        | R.Recv { src; msg } -> (
+            match msg with
+            | Svc m ->
+                R.charge ctx
+                  (match m with
+                  | TM.Broadcast _ -> tob_costs.Broadcast.Shell.client_msg
+                  | TM.Core _ -> tob_costs.Broadcast.Shell.core_msg);
+                smr_feed_tob ctx r (TM.recv s.tob ~now:(R.time ctx) ~src m)
+            | Note d -> smr_deliver ctx r d
+            | Db (Db_msg.Heartbeat _) ->
+                Hashtbl.replace r.last_hb src (R.time ctx)
+            | Db (Db_msg.Snapshot_req { cfg; _ }) -> (
+                if cfg = r.cfg.Config.seq then
+                  match s.pending_snapshot with
                   | None -> ()
-                  | Some mgr ->
-                      Durable.Manager.install_state mgr
-                        {
-                          Durable.Wal.idx = r.sdur_floor;
-                          aux = r.sgseq;
-                          hash = Database.content_hash r.sdb;
-                          payload = smr_durable_image ctx r;
-                        }
+                  | Some (rows, upto) ->
+                      List.iter (send_db ctx src)
+                        (snapshot_chunks ~cfg ~upto ~clients:[] rows))
+            | Db (Db_msg.Snapshot { cfg; rows; last; _ }) ->
+                if cfg = r.cfg.Config.seq && s.role = Syncing then begin
+                  load_chunk ctx r rows ~last;
+                  if last then begin
+                    s.role <- Active;
+                    s.sync_proposer <- None;
+                    let todo = s.buffered in
+                    s.buffered <- [];
+                    List.iter (smr_exec ctx r) todo;
+                    (* The installed state supersedes whatever the WAL
+                       described: pin the transferred position and
+                       snapshot it so a crash right after state transfer
+                       recovers to here, not to the stale pre-transfer
+                       log. *)
+                    match s.sdur with
+                    | None -> ()
+                    | Some mgr ->
+                        Durable.Manager.install_state mgr
+                          {
+                            Durable.Wal.idx = s.sdur_floor;
+                            aux = r.gseq;
+                            hash = Database.content_hash r.db;
+                            payload = smr_durable_image ctx r;
+                          }
+                  end
                 end
-              end
-          | Db _ -> ())
+            | Db _ -> ()))
 
   let spawn_smr_group ?(name_prefix = "") ?x2pc ?(tun = default_tuning)
-      ?(backends : Storage.Store.kind list option) ?durability
-      ?(costs = Broadcast.Shell.default_costs) ?tob_window ~world ~registry
-      ~setup ~n_active () =
-    let shared : smr_replica Registry.t = Registry.create () in
+      ?backends ?durability ?tob_window ~world ~registry ~setup ~n_active () =
+    let shared : smr_state replica Registry.t = Registry.create () in
     let nodes_ref = ref [] in
-    let backend_of i =
-      match backends with
-      | None -> Storage.Store.Hazel
-      | Some bs -> List.nth bs (i mod List.length bs)
-    in
     let nodes =
       List.init 3 (fun i ->
           R.spawn world
             ~name:(Printf.sprintf "%ssmr%d" name_prefix i)
-            (smr_handler ~shared ~nodes_ref ~backend:(backend_of i) ~setup
-               ~registry ~tun ~costs ~tob_window ~n_active
+            (smr_handler ~shared ~nodes_ref ~backend:(backend_of backends i)
+               ~setup ~registry ~tun ~tob_window ~n_active
                ~durable:(Option.map (fun d -> (i, d)) durability)
                ~x2pc))
     in
@@ -1393,19 +1312,20 @@ module Make (C : Consensus.Consensus_intf.S) = struct
     let view l f ~default = Registry.view shared l f ~default in
     {
       smr_nodes = nodes;
-      smr_active_of = (fun l -> view l (fun r -> r.role = Active) ~default:false);
-      smr_cfg_of = (fun l -> view l (fun r -> r.scfg.Config.seq) ~default:(-1));
-      smr_gseq_of = (fun l -> view l (fun r -> r.sgseq) ~default:0);
+      smr_active_of =
+        (fun l -> view l (fun r -> r.st.role = Active) ~default:false);
+      smr_cfg_of = (fun l -> view l (fun r -> r.cfg.Config.seq) ~default:(-1));
+      smr_gseq_of = (fun l -> view l (fun r -> r.gseq) ~default:0);
       smr_hash_of =
-        (fun l -> view l (fun r -> Database.content_hash r.sdb) ~default:0);
+        (fun l -> view l (fun r -> Database.content_hash r.db) ~default:0);
       smr_db_view =
-        (fun l f ~default -> view l (fun r -> f r.sdb) ~default);
+        (fun l f ~default -> view l (fun r -> f r.db) ~default);
     }
 
-  let spawn_smr ?tun ?backends ?durability ?costs ?tob_window ~world
-      ~registry ~setup ~n_active () =
-    spawn_smr_group ?tun ?backends ?durability ?costs ?tob_window ~world
-      ~registry ~setup ~n_active ()
+  let spawn_smr ?tun ?backends ?durability ?tob_window ~world ~registry ~setup
+      ~n_active () =
+    spawn_smr_group ?tun ?backends ?durability ?tob_window ~world ~registry
+      ~setup ~n_active ()
 
   (* ------------------------------------------------------------------ *)
   (* Sharded deployment: per-shard TOB groups + 2PC-over-TOB             *)
@@ -1678,7 +1598,7 @@ module Make (C : Consensus.Consensus_intf.S) = struct
 
   let spawn_sharded ?(tun = default_tuning) ?backends
       ?(durability : (int -> durability option) = fun _ -> None)
-      ?(costs = Broadcast.Shell.default_costs) ?tob_window
+      ?tob_window
       ?(coord_journal = true) ?(pending_timeout = 1.5)
       ?(pump_interval = 0.005)
       ?(on_apply =
@@ -1714,7 +1634,7 @@ module Make (C : Consensus.Consensus_intf.S) = struct
                 xc_keys_of = router.Shard.keys_of;
                 xc_on_apply = on_apply;
               }
-            ~tun ?backends ?durability:(durability s) ~costs ?tob_window
+            ~tun ?backends ?durability:(durability s) ?tob_window
             ~world ~registry ~setup:(setup s) ~n_active:3 ())
     in
     groups_ref := groups;
@@ -1831,3 +1751,4 @@ module Make (C : Consensus.Consensus_intf.S) = struct
     let ids = List.init n spawn_one in
     (ids, fun () -> Atomic.get completed)
 end
+

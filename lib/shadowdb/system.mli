@@ -18,7 +18,10 @@
     - {b chain replication} (extension; one of the protocols the paper
       names as buildable on its broadcast service): updates enter at the
       head and flow down the chain, the tail's reply is the commit point,
-      and read-only transactions are served by the tail. *)
+      and read-only transactions are served by the tail; election, state
+      transfer and reconfiguration are primary-backup's.
+
+    The model's CPU costs and state-transfer chunk size are constants. *)
 
 type loc = int
 
@@ -48,9 +51,6 @@ type tuning = {
   cache_cap : int;
       (** Executed-transaction cache size; a lagging replica within the
           cache catches up by replay, otherwise by full snapshot. *)
-  chunk_rows : int;  (** Rows per state-transfer chunk (≈50 kB). *)
-  exec_overhead : float;  (** Fixed CPU per transaction besides DB work. *)
-  fwd_overhead : float;  (** Per-backup forward/ack handling CPU. *)
 }
 
 val default_tuning : tuning
@@ -77,8 +77,6 @@ module Make (C : Consensus.Consensus_intf.S) : sig
       messages; for [Consensus.Paxos] use {!Codec.encode_core_paxos} and
       {!Codec.decode_core_paxos}. *)
 
-  type replication_style = Primary_backup | Chain
-
   (** {1 Primary-backup / chain clusters} *)
 
   type pbr_cluster = {
@@ -98,11 +96,8 @@ module Make (C : Consensus.Consensus_intf.S) : sig
   }
 
   val spawn_pbr :
-    ?style:replication_style ->
-    ?read_kinds:string list ->
     ?tun:tuning ->
     ?backends:Storage.Store.kind list ->
-    ?tob_profile:Gpm.Engine_profile.t ->
     ?tob_window:int ->
     world:wire Runtime.t ->
     registry:(unit -> Txn.registry) ->
@@ -113,18 +108,16 @@ module Make (C : Consensus.Consensus_intf.S) : sig
     pbr_cluster
   (** Spawn [n_active] replicas (the initial configuration) plus
       [n_spare] spares, and the 3-member broadcast service used for
-      reconfiguration. [backends] assigns diverse storage engines
-      round-robin (default all "hazel"); [setup] loads the initial data
-      identically at every replica; [tob_profile] selects the broadcast
-      service's execution engine (the paper runs PBR's service
-      interpreted); [tob_window] is the service's consensus pipelining
+      reconfiguration, run interpreted as in the paper. [backends]
+      assigns diverse storage engines round-robin (default all
+      "hazel"); [setup] loads the initial data identically at every
+      replica; [tob_window] is the service's consensus pipelining
       window (batches in flight per member, default 1). *)
 
   val spawn_chain :
     ?read_kinds:string list ->
     ?tun:tuning ->
     ?backends:Storage.Store.kind list ->
-    ?tob_profile:Gpm.Engine_profile.t ->
     ?tob_window:int ->
     world:wire Runtime.t ->
     registry:(unit -> Txn.registry) ->
@@ -133,9 +126,11 @@ module Make (C : Consensus.Consensus_intf.S) : sig
     n_spare:int ->
     unit ->
     pbr_cluster
-  (** Chain-replication cluster: the configuration order is the chain
-      order (head first); [read_kinds] lists the transaction kinds served
-      read-only at the tail. *)
+  (** Chain-replication cluster on the same deployment as {!spawn_pbr},
+      with the same election, state transfer and reconfiguration: the
+      configuration order is the chain order (head first); [read_kinds]
+      lists the transaction kinds served read-only at the tail (default
+      none). *)
 
   (** {1 State-machine-replication clusters} *)
 
@@ -173,7 +168,6 @@ module Make (C : Consensus.Consensus_intf.S) : sig
     ?tun:tuning ->
     ?backends:Storage.Store.kind list ->
     ?durability:durability ->
-    ?costs:Broadcast.Shell.costs ->
     ?tob_window:int ->
     world:wire Runtime.t ->
     registry:(unit -> Txn.registry) ->
@@ -213,7 +207,6 @@ module Make (C : Consensus.Consensus_intf.S) : sig
     ?tun:tuning ->
     ?backends:Storage.Store.kind list ->
     ?durability:(int -> durability option) ->
-    ?costs:Broadcast.Shell.costs ->
     ?tob_window:int ->
     ?coord_journal:bool ->
     ?pending_timeout:float ->

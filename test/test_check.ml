@@ -164,6 +164,10 @@ let test_pbr_random_clean () =
   let r = Explore.random_walk Scenarios.pbr ~seed:1 ~budget:12 () in
   Alcotest.(check bool) "no violation" true (r.Explore.violation = None)
 
+let test_chain_random_clean () =
+  let r = Explore.random_walk Scenarios.chain ~seed:1 ~budget:12 () in
+  Alcotest.(check bool) "no violation" true (r.Explore.violation = None)
+
 let test_pbr_primary_crash_clean () =
   (* Crash the initial primary mid-run: failover must preserve state
      agreement and durability of acknowledged transactions. *)
@@ -470,6 +474,8 @@ let () =
           Alcotest.test_case "smr pipelining windows clean" `Quick
             test_smr_windows_clean;
           Alcotest.test_case "pbr random clean" `Quick test_pbr_random_clean;
+          Alcotest.test_case "chain random clean" `Quick
+            test_chain_random_clean;
           Alcotest.test_case "pbr primary crash clean" `Quick
             test_pbr_primary_crash_clean;
           Alcotest.test_case "smr random clean" `Quick test_smr_random_clean;

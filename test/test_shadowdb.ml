@@ -1,7 +1,8 @@
 (* End-to-end tests for ShadowDB on the simulator: PBR normal case and
    recovery (catch-up and snapshot paths), SMR normal case, crash
    transparency and spare activation, exactly-once under client retries,
-   durability, and state agreement across diverse backends. *)
+   durability, state agreement across diverse backends, and pinned
+   virtual-time outcomes per replication style. *)
 
 module Engine = Sim.Engine
 module Store = Storage.Store
@@ -394,6 +395,180 @@ let prop_smr_random_crash =
           (0.02 +. crash_at) (completed ()) !commits;
       true)
 
+let test_pbr_empty_db_state_transfer () =
+  (* An empty database dumps no rows; the full-snapshot transfer must
+     still send a final chunk, or the spare never reports Recovered and
+     the primary waits for it forever. Every deposit aborts (no
+     accounts), but each one is still answered and executed. *)
+  let world : S.wire Engine.t = Engine.create ~seed:3 () in
+  let cluster =
+    S.spawn_pbr ~tun:{ fast_tun with cache_cap = 2 }
+      ~world:(Runtime.Of_sim.of_engine world)
+      ~registry:Workload.Bank.registry
+      ~setup:(Workload.Bank.setup ~rows:0)
+      ~n_active:2 ~n_spare:1 ()
+  in
+  let _, completed =
+    S.spawn_clients ~world:(Runtime.Of_sim.of_engine world)
+      ~target:(S.To_pbr cluster) ~n:2 ~count:3000 ~make_txn:make_deposit
+      ~retry_timeout:0.5 ()
+  in
+  let backup = List.nth cluster.S.pbr_replicas 1 in
+  Engine.at world 0.2 (fun () -> Engine.crash world backup);
+  Engine.run ~until:120.0 ~max_events:10_000_000 world;
+  Alcotest.(check int) "all clients completed" 2 (completed ());
+  let primary = cluster.S.pbr_initial_primary in
+  let spare = List.nth cluster.S.pbr_replicas 2 in
+  Alcotest.(check int) "spare caught up" 6000 (cluster.S.pbr_gseq_of spare);
+  Alcotest.(check int) "primary executed everything" 6000
+    (cluster.S.pbr_gseq_of primary)
+
+(* ---------- Pinned virtual-time results ---------- *)
+
+(* Exact outcome of one fixed-seed run per replication style, failover
+   included: every replica's executed count and state hash, the virtual
+   time of the last commit (bit-exact) and the number of simulator
+   events. A change to CPU charges or message order that shifts virtual
+   time fails these. *)
+let pinned world ~replicas ~gseq_of ~hash_of ~last_commit =
+  List.map (fun l -> Printf.sprintf "%d:%d" (gseq_of l) (hash_of l)) replicas
+  @ [
+      Printf.sprintf "last=%h" last_commit;
+      Printf.sprintf "events=%d" (Engine.events_processed world);
+    ]
+
+let pin_clients world target ~n ~count ~make_txn =
+  let last = ref 0.0 in
+  let _, completed =
+    S.spawn_clients ~world:(Runtime.Of_sim.of_engine world) ~target ~n ~count
+      ~make_txn ~retry_timeout:0.5
+      ~on_commit:(fun now _ -> last := now)
+      ()
+  in
+  (completed, last)
+
+let check_pin name expected actual =
+  Alcotest.(check (list string)) (name ^ " pinned") expected actual
+
+let pin_pbr ?cache_cap () =
+  let world, c = pbr_world ?cache_cap () in
+  let completed, last =
+    pin_clients world (S.To_pbr c) ~n:2 ~count:200 ~make_txn:make_deposit
+  in
+  Engine.at world 0.05 (fun () -> Engine.crash world c.S.pbr_initial_primary);
+  Engine.run ~until:30.0 ~max_events:10_000_000 world;
+  Alcotest.(check int) "completed" 2 (completed ());
+  pinned world ~replicas:c.S.pbr_replicas ~gseq_of:c.S.pbr_gseq_of
+    ~hash_of:c.S.pbr_hash_of ~last_commit:!last
+
+let test_pin_pbr_catchup () =
+  check_pin "pbr catch-up"
+    [
+      "117:4181078861413313671";
+      "400:-4240914645076726038";
+      "400:-4240914645076726038";
+      "last=0x1.2db1fd2378cfep+0";
+      "events=10922";
+    ] (pin_pbr ())
+
+let test_pin_pbr_snapshot () =
+  check_pin "pbr snapshot"
+    [
+      "117:4181078861413313671";
+      "400:-4240914645076726038";
+      "400:-4240914645076726038";
+      "last=0x1.2e3db2f7bcb86p+0";
+      "events=10922";
+    ] (pin_pbr ~cache_cap:2 ())
+
+let test_pin_chain () =
+  let world, c = chain_world () in
+  let completed, last =
+    pin_clients world (S.To_pbr c) ~n:2 ~count:300 ~make_txn:make_mixed
+  in
+  Engine.at world 0.05 (fun () ->
+      Engine.crash world (List.hd c.S.pbr_replicas));
+  Engine.run ~until:30.0 ~max_events:10_000_000 world;
+  Alcotest.(check int) "completed" 2 (completed ());
+  check_pin "chain"
+    [
+      "86:4035500052279799203";
+      "400:-2103636525889354618";
+      "400:-2103636525889354618";
+      "400:-2103636525889354618";
+      "last=0x1.404a89168211ep+0";
+      "events=18999";
+    ]
+    (pinned world ~replicas:c.S.pbr_replicas ~gseq_of:c.S.pbr_gseq_of
+       ~hash_of:c.S.pbr_hash_of ~last_commit:!last)
+
+let test_pin_smr () =
+  let world, c = smr_world () in
+  let completed, last =
+    pin_clients world (S.To_smr c) ~n:2 ~count:200 ~make_txn:make_deposit
+  in
+  Engine.at world 0.05 (fun () -> Engine.crash world (List.hd c.S.smr_nodes));
+  Engine.run ~until:30.0 ~max_events:10_000_000 world;
+  Alcotest.(check int) "completed" 2 (completed ());
+  check_pin "smr"
+    [
+      "5:2362188647411626470";
+      "401:788273708278664358";
+      "401:788273708278664358";
+      "last=0x1.145056896a38p+2";
+      "events=13707";
+    ]
+    (pinned world ~replicas:c.S.smr_nodes ~gseq_of:c.S.smr_gseq_of
+       ~hash_of:c.S.smr_hash_of ~last_commit:!last)
+
+let test_pin_sharded () =
+  let shards = 2 in
+  let world : S.wire Engine.t = Engine.create ~seed:11 () in
+  let c =
+    S.spawn_sharded ~tun:fast_tun ~world:(Runtime.Of_sim.of_engine world)
+      ~registry:Workload.Bank.registry
+      ~setup:(fun s db -> Workload.Bank.setup_shard ~rows:32 ~shards s db)
+      ~router:(Workload.Bank.router ~shards) ()
+  in
+  let make_txn ~client ~seq =
+    let src = (client + (seq * 7)) mod 32 in
+    Workload.Bank.transfer ~src ~dst:((src + 1 + (seq mod 31)) mod 32) ~amount:1
+  in
+  let completed, last =
+    pin_clients world (S.To_sharded c) ~n:3 ~count:12 ~make_txn
+  in
+  Engine.run ~until:30.0 ~max_events:10_000_000 world;
+  Alcotest.(check int) "completed" 3 (completed ());
+  let replicas =
+    List.concat_map (fun g -> g.S.smr_nodes) (Array.to_list c.S.sh_groups)
+  in
+  let of_group f l =
+    Array.fold_left
+      (fun acc g -> if List.mem l g.S.smr_nodes then f g l else acc)
+      0 c.S.sh_groups
+  in
+  check_pin "sharded"
+    [
+      "42:-4185934650810462726";
+      "42:-4185934650810462726";
+      "42:-4185934650810462726";
+      "48:4476386968270498108";
+      "48:4476386968270498108";
+      "48:4476386968270498108";
+      "last=0x1.9a4dff85c78bcp-2";
+      "events=29338";
+      "commit=17";
+      "abort=1";
+    ]
+    (pinned world ~replicas
+       ~gseq_of:(of_group (fun g -> g.S.smr_gseq_of))
+       ~hash_of:(of_group (fun g -> g.S.smr_hash_of))
+       ~last_commit:!last
+    @ [
+        Printf.sprintf "commit=%d" (c.S.sh_committed ());
+        Printf.sprintf "abort=%d" (c.S.sh_aborted ());
+      ])
+
 (* ---------- Txn / codec units ---------- *)
 
 let test_txn_execute_rollback () =
@@ -480,6 +655,8 @@ let () =
           Alcotest.test_case "durability" `Quick test_pbr_durability;
           Alcotest.test_case "overlapped state transfer" `Quick
             test_pbr_overlapped_state_transfer;
+          Alcotest.test_case "state transfer of an empty database" `Quick
+            test_pbr_empty_db_state_transfer;
           qt prop_pbr_random_crash;
         ] );
       ( "chain",
@@ -498,5 +675,13 @@ let () =
           Alcotest.test_case "spare activation" `Quick
             test_smr_spare_activation;
           qt prop_smr_random_crash;
+        ] );
+      ( "pins",
+        [
+          Alcotest.test_case "pbr catch-up" `Quick test_pin_pbr_catchup;
+          Alcotest.test_case "pbr snapshot" `Quick test_pin_pbr_snapshot;
+          Alcotest.test_case "chain" `Quick test_pin_chain;
+          Alcotest.test_case "smr" `Quick test_pin_smr;
+          Alcotest.test_case "sharded" `Quick test_pin_sharded;
         ] );
     ]
