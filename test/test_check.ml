@@ -200,6 +200,32 @@ let test_exploration_deterministic () =
   in
   Alcotest.(check bool) "different seed, different coverage" true (a <> c)
 
+(* Pinned exploration counts (distinct states / total events) with the
+   CLI's defaults (random mode, max depth 12). Any change to what a
+   protocol does on a schedule moves these numbers, so a refactor that
+   must keep behaviour identical is checked against them. *)
+let pin ?(random_faults = false) sc ~budget ~seed ~states ~events () =
+  let r =
+    Explore.random_walk ~random_faults ~max_depth:12 sc ~seed ~budget ()
+  in
+  Alcotest.(check bool) "no violation" true (r.Explore.violation = None);
+  Alcotest.(check int) "distinct states" states r.Explore.distinct_states;
+  Alcotest.(check int) "total events" events r.Explore.total_events
+
+let test_pin_tob =
+  pin Scenarios.tob ~budget:200 ~seed:7 ~states:13992 ~events:48729
+
+let test_pin_tob_faults =
+  pin ~random_faults:true Scenarios.tob ~budget:200 ~seed:7 ~states:16904
+    ~events:42416
+
+let test_pin_paxos_faults =
+  pin ~random_faults:true Scenarios.paxos ~budget:300 ~seed:7 ~states:8072
+    ~events:28847
+
+let test_pin_smr =
+  pin Scenarios.smr ~budget:200 ~seed:7 ~states:3923 ~events:145800
+
 (* ---- counterexamples on the broken broadcast double ------------------- *)
 
 let find_buggy () =
@@ -481,6 +507,10 @@ let () =
           Alcotest.test_case "smr random clean" `Quick test_smr_random_clean;
           Alcotest.test_case "exploration deterministic per seed" `Quick
             test_exploration_deterministic;
+          Alcotest.test_case "pin tob" `Quick test_pin_tob;
+          Alcotest.test_case "pin tob faults" `Quick test_pin_tob_faults;
+          Alcotest.test_case "pin paxos faults" `Quick test_pin_paxos_faults;
+          Alcotest.test_case "pin smr" `Quick test_pin_smr;
         ] );
       ( "counterexamples",
         [
