@@ -6,13 +6,48 @@ type batch = entry list
 
 type deliver = { seqno : int; entry : entry }
 
-module Entry_key = struct
-  type t = loc * int
+(* Delivered (origin, id) keys, per origin a run [lo, hi) plus the ids
+   outside it. Origins number their messages consecutively, so in the
+   steady state each origin costs one record however long it runs. An id
+   equal to [hi] extends the run and pulls in any ids of [above] that
+   became contiguous; any other new id (a gap, an id below [lo], or
+   [max_int], whose successor would wrap) is kept in [above]. *)
+module Seen = struct
+  module Int_map = Map.Make (Int)
+  module Int_set = Set.Make (Int)
 
-  let compare = compare
+  type run = { lo : int; hi : int; above : Int_set.t }
+
+  type t = run Int_map.t
+
+  let empty = Int_map.empty
+
+  let in_run id r = (r.lo <= id && id < r.hi) || Int_set.mem id r.above
+
+  let mem origin id t =
+    match Int_map.find_opt origin t with
+    | Some r -> in_run id r
+    | None -> false
+
+  let rec absorb r =
+    if r.hi < max_int && Int_set.mem r.hi r.above then
+      absorb { r with hi = r.hi + 1; above = Int_set.remove r.hi r.above }
+    else r
+
+  let add origin id t =
+    let r =
+      match Int_map.find_opt origin t with
+      | Some r -> r
+      | None -> { lo = id; hi = id; above = Int_set.empty }
+    in
+    if in_run id r then t
+    else if id = r.hi && id < max_int then
+      Int_map.add origin (absorb { r with hi = id + 1 }) t
+    else Int_map.add origin { r with above = Int_set.add id r.above } t
+
+  let explicit t =
+    Int_map.fold (fun _ r n -> n + Int_set.cardinal r.above) t 0
 end
-
-module Key_set = Set.Make (Entry_key)
 
 module Make (C : Consensus.Consensus_intf.S) = struct
   type msg = Broadcast of entry | Core of batch C.msg
@@ -30,8 +65,7 @@ module Make (C : Consensus.Consensus_intf.S) = struct
     pending : entry list;  (* accumulated, newest last *)
     awaiting : batch list;  (* our batches in flight, oldest first *)
     seqno : int;
-    seen : Key_set.t;  (* (origin, id) of delivered entries *)
-    delivered_log : entry list;  (* reverse delivery order *)
+    seen : Seen.t;  (* (origin, id) of delivered entries *)
     last_progress : float;
   }
 
@@ -48,14 +82,11 @@ module Make (C : Consensus.Consensus_intf.S) = struct
       pending = [];
       awaiting = [];
       seqno = 0;
-      seen = Key_set.empty;
-      delivered_log = [];
+      seen = Seen.empty;
       last_progress = 0.0;
     }
 
   let delivered t = t.seqno
-
-  let log t = List.rev t.delivered_log
 
   let take n l =
     let rec go n acc = function
@@ -68,22 +99,26 @@ module Make (C : Consensus.Consensus_intf.S) = struct
   (* Unfold one decided batch into sequence-numbered notifications,
      skipping entries already delivered (duplicate suppression). *)
   let deliver_batch t batch =
-    List.fold_left
-      (fun (t, acts) entry ->
-        let key = (entry.origin, entry.id) in
-        if Key_set.mem key t.seen then (t, acts)
-        else
-          let d = { seqno = t.seqno; entry } in
-          let t =
-            {
-              t with
-              seqno = t.seqno + 1;
-              seen = Key_set.add key t.seen;
-              delivered_log = entry :: t.delivered_log;
-            }
-          in
-          (t, acts @ List.map (fun s -> Notify (s, d)) t.subscribers))
-      (t, []) batch
+    let t, rev_acts =
+      List.fold_left
+        (fun (t, rev_acts) entry ->
+          if Seen.mem entry.origin entry.id t.seen then (t, rev_acts)
+          else
+            let d = { seqno = t.seqno; entry } in
+            let t =
+              {
+                t with
+                seqno = t.seqno + 1;
+                seen = Seen.add entry.origin entry.id t.seen;
+              }
+            in
+            ( t,
+              List.fold_left
+                (fun rev_acts s -> Notify (s, d) :: rev_acts)
+                rev_acts t.subscribers ))
+        (t, []) batch
+    in
+    (t, List.rev rev_acts)
 
   (* Drop the first occurrence of [batch] from the in-flight list, if
      present. Decisions arrive in slot order and our proposals take slots

@@ -8,7 +8,11 @@
     Messages submitted by clients are accumulated and proposed as batches
     (the paper's batching optimization); decided batches are unfolded into
     individually sequence-numbered deliveries, deduplicated by
-    (origin, id). A member keeps up to [window] batches in flight through
+    (origin, id) against {!Seen}. Each member keeps one run of
+    consecutive ids per origin plus the ids that arrived out of order, so
+    dedup memory is O(origins + out-of-order ids), not O(history); the
+    delivered sequence itself is not retained — it is the stream of
+    [Notify] actions. A member keeps up to [window] batches in flight through
     consensus at once (default 1 — the paper's one-outstanding-batch
     regime); pipelining is safe because both consensus cores decide
     per-slot and release decisions strictly in slot order, so total order
@@ -25,6 +29,24 @@ type batch = entry list
 
 type deliver = { seqno : int; entry : entry }
 (** A delivery notification: global sequence number plus the message. *)
+
+(** The set of delivered (origin, id) keys, as a persistent value. Per
+    origin it holds an interval [\[lo, hi)] of consecutive ids plus the
+    ids outside it; an id equal to [hi] extends the interval and absorbs
+    any held ids that became contiguous. Membership is exactly that of a
+    set of pairs for any int ids (negative, sparse, out of order or
+    repeated). *)
+module Seen : sig
+  type t
+
+  val empty : t
+  val mem : loc -> int -> t -> bool
+  val add : loc -> int -> t -> t
+
+  val explicit : t -> int
+  (** Ids held individually, outside their origin's interval, summed over
+      origins: 0 while every origin's ids arrive in order. *)
+end
 
 module Make (C : Consensus.Consensus_intf.S) : sig
   type msg =
@@ -47,7 +69,9 @@ module Make (C : Consensus.Consensus_intf.S) : sig
     subscribers:loc list ->
     unit ->
     t
-  (** [subscribers] receive a [Notify] for every delivered message.
+  (** [subscribers] receive a [Notify] for every delivered message; an
+      entry whose (origin, id) was delivered before is dropped, and the
+      dedup state grows only with origins and out-of-order ids.
       [batch_cap] bounds entries per proposal (default 64).
       [window] is the number of batches this member may have in flight
       through consensus simultaneously (default 1; clamped to [>= 1]).
@@ -61,7 +85,4 @@ module Make (C : Consensus.Consensus_intf.S) : sig
 
   val delivered : t -> int
   (** Number of messages this member has delivered so far. *)
-
-  val log : t -> entry list
-  (** Delivered messages in delivery order (the agreed sequence). *)
 end

@@ -208,20 +208,28 @@ let test_tob_duplicate_suppression () =
   Alcotest.(check int) "duplicate not re-delivered" 0 (List.length notifies);
   Alcotest.(check int) "count unchanged" 1 (T.delivered t)
 
+(* Payloads of the [Notify] actions in [acts], in emission order. *)
+let notified_payloads acts =
+  List.filter_map
+    (function T.Notify (_, d) -> Some d.Tob.entry.Tob.payload | _ -> None)
+    acts
+
 let test_tob_log_order () =
-  let t = T.create ~self:0 ~members:[ 0 ] ~subscribers:[] () in
+  let t = T.create ~self:0 ~members:[ 0 ] ~subscribers:[ 99 ] () in
   let t, _ = T.start t ~now:0.0 in
   let t = ref t in
+  let log = ref [] in
   for i = 0 to 4 do
-    let t', _ =
+    let t', acts =
       T.recv !t ~now:0.1 ~src:5
         (T.Broadcast { Tob.origin = 5; id = i; payload = string_of_int i })
     in
-    t := t'
+    t := t';
+    log := !log @ notified_payloads acts
   done;
   Alcotest.(check (list string)) "log in submission order"
     [ "0"; "1"; "2"; "3"; "4" ]
-    (List.map (fun e -> e.Tob.payload) (T.log !t))
+    !log
 
 (* Distinct consensus slots this member has open proposals for, read off
    the outgoing core messages. *)
@@ -269,6 +277,7 @@ let test_tob_pipelined_delivery_in_order () =
   let t, _ = T.start t ~now:0.0 in
   let t = ref t in
   let seqnos = ref [] in
+  let log = ref [] in
   for i = 0 to 5 do
     let t', acts =
       T.recv !t ~now:0.1 ~src:5
@@ -279,13 +288,131 @@ let test_tob_pipelined_delivery_in_order () =
       (function
         | T.Notify (_, d) -> seqnos := d.Tob.seqno :: !seqnos
         | _ -> ())
-      acts
+      acts;
+    log := !log @ notified_payloads acts
   done;
   Alcotest.(check (list int)) "dense seqnos in submission order"
     [ 0; 1; 2; 3; 4; 5 ] (List.rev !seqnos);
   Alcotest.(check (list string)) "log in submission order"
     [ "0"; "1"; "2"; "3"; "4"; "5" ]
-    (List.map (fun e -> e.Tob.payload) (T.log !t))
+    !log
+
+(* ---- the dedup set, against a set of pairs --------------------------- *)
+
+module Seen = Tob.Seen
+module Pair_set = Set.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+(* [Run (origin, start, n)] adds start, start + 1, ..., in order. *)
+type seen_op = Add of int * int | Mem of int * int | Run of int * int * int
+
+let show_seen_op = function
+  | Add (o, i) -> Printf.sprintf "add %d %d" o i
+  | Mem (o, i) -> Printf.sprintf "mem %d %d" o i
+  | Run (o, i, n) -> Printf.sprintf "run %d %d+%d" o i n
+
+(* Ids mix a dense range (in order, out of order and repeated), negative
+   ids, both ends of the int range and arbitrary sparse ints. *)
+let gen_seen_op =
+  let open QCheck.Gen in
+  let origin = int_range (-1) 3 in
+  let id =
+    frequency
+      [
+        (6, int_range 0 40);
+        (2, int_range (-20) (-1));
+        (1, oneofl [ max_int; max_int - 1; min_int; min_int + 1 ]);
+        (2, int);
+      ]
+  in
+  frequency
+    [
+      (5, map2 (fun o i -> Add (o, i)) origin id);
+      (2, map2 (fun o i -> Mem (o, i)) origin id);
+      (2, map3 (fun o i n -> Run (o, i, n)) origin id (int_range 0 30));
+    ]
+
+let prop_seen_matches_model =
+  QCheck.Test.make ~count:300 ~name:"seen set matches a set of pairs"
+    QCheck.(
+      make ~shrink:Shrink.list
+        ~print:(fun ops -> String.concat "; " (List.map show_seen_op ops))
+        Gen.(list_size (int_range 0 60) gen_seen_op))
+    (fun ops ->
+      (* Every key mentioned so far and its neighbours: the places where
+         an interval boundary can be off by one. *)
+      let probes = ref Pair_set.empty in
+      let probe o i =
+        List.iter
+          (fun d -> probes := Pair_set.add (o, i + d) !probes)
+          [ -1; 0; 1 ]
+      in
+      let agree seen model =
+        Pair_set.for_all
+          (fun (o, i) -> Seen.mem o i seen = Pair_set.mem (o, i) model)
+          !probes
+      in
+      let step (seen, model) = function
+        | Add (o, i) ->
+            probe o i;
+            (Seen.add o i seen, Pair_set.add (o, i) model)
+        | Mem (o, i) ->
+            probe o i;
+            (seen, model)
+        | Run (o, i, n) ->
+            let acc = ref (seen, model) in
+            for k = 0 to n - 1 do
+              probe o (i + k);
+              let seen, model = !acc in
+              acc := (Seen.add o (i + k) seen, Pair_set.add (o, i + k) model)
+            done;
+            !acc
+      in
+      let rec go st = function
+        | [] -> true
+        | op :: rest ->
+            let st = step st op in
+            agree (fst st) (snd st) && go st rest
+      in
+      go (Seen.empty, Pair_set.empty) ops)
+
+let prop_seen_in_order_is_compact =
+  QCheck.Test.make ~count:100 ~name:"in-order ids hold nothing explicitly"
+    QCheck.(
+      make ~shrink:Shrink.list
+        ~print:(fun l ->
+          String.concat "; "
+            (List.map (fun (o, i, n) -> Printf.sprintf "%d:%d+%d" o i n) l))
+        Gen.(
+          list_size (int_range 1 5)
+            (triple (int_range 0 9) (int_range (-1000) 1_000_000)
+               (int_range 0 2000))))
+    (fun origins ->
+      (* Origins interleave, each adding its ids in order from its own
+         start; an origin listed twice continues where it stopped. *)
+      let next = Hashtbl.create 8 in
+      List.iter
+        (fun (o, i, _) -> if not (Hashtbl.mem next o) then Hashtbl.add next o i)
+        origins;
+      let seen = ref Seen.empty in
+      let left = ref (List.map (fun (o, _, n) -> (o, n)) origins) in
+      while !left <> [] do
+        left :=
+          List.filter_map
+            (fun (o, n) ->
+              if n = 0 then None
+              else begin
+                let id = Hashtbl.find next o in
+                Hashtbl.replace next o (id + 1);
+                seen := Seen.add o id !seen;
+                Some (o, n - 1)
+              end)
+            !left
+      done;
+      Seen.explicit !seen = 0)
 
 let () =
   Alcotest.run "broadcast"
@@ -313,4 +440,7 @@ let () =
             test_paxos_tob_partition_heal;
           Alcotest.test_case "twothird basic" `Quick test_twothird_tob_basic;
         ] );
+      ( "tob-seen",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_seen_matches_model; prop_seen_in_order_is_compact ] );
     ]
