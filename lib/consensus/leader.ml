@@ -80,11 +80,14 @@ let adopted t =
   let t =
     { t with scout = None; active = true; proposals; backoff = initial_backoff }
   in
-  Slot_map.fold
-    (fun s c (t, acts) ->
-      let t, acts' = spawn_commander t s c in
-      (t, acts @ acts'))
-    t.proposals (t, [])
+  let t, rev_acts =
+    Slot_map.fold
+      (fun s c (t, rev_acts) ->
+        let t, acts = spawn_commander t s c in
+        (t, List.rev_append acts rev_acts))
+      t.proposals (t, [])
+  in
+  (t, List.rev rev_acts)
 
 let preempted t (b' : M.ballot) =
   let t =

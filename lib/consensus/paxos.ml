@@ -53,16 +53,23 @@ let local t (m : 'c M.t) =
       ({ t with replica }, sends, delivers)
 
 (* Run local deliveries to a fixed point: messages addressed to self are
-   processed in place (the co-located roles short-circuit the network). *)
-let rec process t pending acts =
-  match pending with
-  | [] -> (t, List.rev acts)
-  | (dst, m) :: rest ->
-      if dst = t.self then begin
-        let t, sends, high = local t m in
-        process t (rest @ sends) (List.rev_append high acts)
-      end
-      else process t rest (Consensus_intf.Send (dst, m) :: acts)
+   processed in place (the co-located roles short-circuit the network).
+   [pending] is a FIFO queue kept as a front list and a reversed back
+   list, so appending a step's sends costs their length, not the queue's. *)
+let process t pending =
+  let rec go t front back acts =
+    match front with
+    | [] ->
+        if back = [] then (t, List.rev acts)
+        else go t (List.rev back) [] acts
+    | (dst, m) :: rest ->
+        if dst = t.self then begin
+          let t, sends, high = local t m in
+          go t rest (List.rev_append sends back) (List.rev_append high acts)
+        end
+        else go t rest back (Consensus_intf.Send (dst, m) :: acts)
+  in
+  go t pending [] []
 
 let lift_leader t (leader, lacts) =
   let t = { t with leader } in
@@ -73,7 +80,7 @@ let lift_leader t (leader, lacts) =
         | Leader.Set_timer d -> Right (Consensus_intf.Set_timer d))
       lacts
   in
-  let t, acts = process t pending [] in
+  let t, acts = process t pending in
   (t, high @ acts)
 
 let lift_replica t (replica, racts) =
@@ -85,7 +92,7 @@ let lift_replica t (replica, racts) =
         | Replica.Perform { s; c } -> Right (Consensus_intf.Deliver { s; c }))
       racts
   in
-  let t, acts = process t pending [] in
+  let t, acts = process t pending in
   (t, high @ acts)
 
 let start t =
@@ -95,6 +102,6 @@ let start t =
 
 let propose t c = lift_replica t (Replica.step t.replica (Replica.Request c))
 
-let recv t ~src:_ m = process t [ (t.self, m) ] []
+let recv t ~src:_ m = process t [ (t.self, m) ]
 
 let tick t = lift_leader t (Leader.step t.leader Leader.Tick)

@@ -56,10 +56,11 @@ let rec propose t acts =
           (sends @ acts)
 
 (* Perform decided commands in slot order; a proposal of ours that lost
-   its slot to a different command goes back on the request queue. *)
+   its slot to a different command goes back on the request queue.
+   [acts] accumulates in reverse. *)
 let rec perform t acts =
   match Slot_map.find_opt t.slot_out t.decisions with
-  | None -> (t, acts)
+  | None -> (t, List.rev acts)
   | Some c ->
       let t, acts =
         match Slot_map.find_opt t.slot_out t.proposals with
@@ -74,7 +75,7 @@ let rec perform t acts =
           slot_out = t.slot_out + 1;
         }
       in
-      perform t (acts @ [ Perform { s = t.slot_out - 1; c } ])
+      perform t (Perform { s = t.slot_out - 1; c } :: acts)
 
 let step t input =
   match input with

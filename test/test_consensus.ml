@@ -141,6 +141,38 @@ let test_leader_adopts_prior_accepts () =
     (List.mem "theirs" commanded);
   Alcotest.(check bool) "own proposal displaced" false (List.mem "mine" commanded)
 
+let test_leader_takeover_many_slots () =
+  (* A takeover with a long history re-commands every slot: exactly one
+     P2a per acceptor per slot, in ascending slot order, carrying the
+     highest-ballot accepted value where the P1bs report one. *)
+  let n = 3000 in
+  let l = ref (mk_leader ()) in
+  for s = 0 to n - 1 do
+    l := fst (Leader.step !l (Leader.Msg (M.Propose { s; c = "mine" })))
+  done;
+  let l, _ = Leader.step !l Leader.Start in
+  let blt = Leader.ballot l in
+  let prior =
+    List.init (n / 2) (fun i -> { M.b = b (-1) 9; s = 2 * i; c = "theirs" })
+  in
+  let l, _ = Leader.step l (p1b 10 blt prior) in
+  let _, acts = Leader.step l (p1b 11 blt []) in
+  let p2a =
+    List.filter_map
+      (function
+        | Leader.Send (dst, M.P2a { pv; _ }) -> Some (pv.M.s, dst, pv.M.c)
+        | Leader.Send _ | Leader.Set_timer _ -> None)
+      acts
+  in
+  let expected =
+    List.concat
+      (List.init n (fun s ->
+           let c = if s mod 2 = 0 then "theirs" else "mine" in
+           List.map (fun a -> (s, a, c)) [ 10; 11; 12 ]))
+  in
+  Alcotest.(check int) "3 P2a per slot" (3 * n) (List.length p2a);
+  Alcotest.(check bool) "slot order, accepted values win" true (p2a = expected)
+
 let test_leader_preemption_backoff () =
   let l = mk_leader () in
   let l, _ = Leader.step l Leader.Start in
@@ -398,6 +430,74 @@ end
 module Paxos_harness = Core_harness (Consensus.Paxos)
 module Twothird_harness = Core_harness (Consensus.Twothird_multi)
 
+(* A leader takeover on a 3-member Paxos core after [n] decided slots,
+   with FIFO delivery: member 0 leads while the history builds up, then
+   it is cut off and member 1 ticks. The new leader re-commands all [n]
+   slots; the P2a to its own acceptor is handled inside the core, so on
+   the wire it sends one P2a per slot to each of members 0 and 2. *)
+let test_paxos_takeover_after_history () =
+  let module P = Consensus.Paxos in
+  let n = 3000 in
+  let st = Array.init 3 (fun i -> P.create ~self:i ~members:[ 0; 1; 2 ]) in
+  let q = Queue.create () in
+  let down = ref (-1) in
+  let from_1 = ref [] in
+  let delivered = Array.make 3 [] in
+  let run i f =
+    let s, acts = f st.(i) in
+    st.(i) <- s;
+    List.iter
+      (function
+        | I.Send (dst, m) ->
+            if i = 1 then from_1 := (dst, m) :: !from_1;
+            if i <> !down && dst <> !down then Queue.add (i, dst, m) q
+        | I.Deliver { s; c } -> delivered.(i) <- (s, c) :: delivered.(i)
+        | I.Set_timer _ -> ())
+      acts
+  in
+  let drain () =
+    while not (Queue.is_empty q) do
+      let src, dst, m = Queue.pop q in
+      run dst (fun s -> P.recv s ~src m)
+    done
+  in
+  Array.iteri (fun i _ -> run i P.start) st;
+  drain ();
+  for k = 0 to n - 1 do
+    run 0 (fun s -> P.propose s (Printf.sprintf "c%d" k));
+    drain ()
+  done;
+  Alcotest.(check int) "history decided" n (List.length delivered.(2));
+  down := 0;
+  from_1 := [];
+  run 1 P.tick;
+  drain ();
+  Alcotest.(check bool) "member 1 leads" true (P.leader_active st.(1));
+  let sent kind =
+    List.filter_map
+      (function
+        | dst, M.P2a { pv; _ } when kind = `P2a -> Some (pv.M.s, dst)
+        | dst, M.Decision { s; _ } when kind = `Decision -> Some (s, dst)
+        | _ -> None)
+      (List.rev !from_1)
+  in
+  let per_slot = List.concat (List.init n (fun s -> [ (s, 0); (s, 2) ])) in
+  Alcotest.(check int) "one P2a per slot to each peer" (2 * n)
+    (List.length (sent `P2a));
+  Alcotest.(check bool) "P2a in slot order" true (sent `P2a = per_slot);
+  (* Member 0 is down, so each decision needs the local acceptor's vote
+     as well as member 2's: every slot re-decided proves all three P2a. *)
+  Alcotest.(check bool) "every slot re-decided" true
+    (sent `Decision = per_slot);
+  run 1 (fun s -> P.propose s "after");
+  drain ();
+  List.iter
+    (fun i ->
+      Alcotest.(check (pair int string))
+        (Printf.sprintf "member %d decides the next slot" i)
+        (n, "after") (List.hd delivered.(i)))
+    [ 1; 2 ]
+
 let prop_paxos_core_agreement =
   QCheck.Test.make ~name:"Paxos core: total order agreement" ~count:40
     QCheck.small_int
@@ -461,6 +561,8 @@ let () =
             test_leader_adopts_prior_accepts;
           Alcotest.test_case "preemption backoff" `Quick
             test_leader_preemption_backoff;
+          Alcotest.test_case "takeover of 3000 slots" `Quick
+            test_leader_takeover_many_slots;
         ] );
       ( "replica",
         [
@@ -483,5 +585,7 @@ let () =
           qt prop_paxos_core_safe_under_loss;
           qt prop_twothird_core_agreement;
           qt prop_twothird_core_no_creation;
+          Alcotest.test_case "paxos takeover after 3000 slots" `Quick
+            test_paxos_takeover_after_history;
         ] );
     ]
