@@ -6,12 +6,10 @@ type batch = entry list
 
 type deliver = { seqno : int; entry : entry }
 
-(* Delivered (origin, id) keys, per origin a run [lo, hi) plus the ids
-   outside it. Origins number their messages consecutively, so in the
-   steady state each origin costs one record however long it runs. An id
-   equal to [hi] extends the run and pulls in any ids of [above] that
-   became contiguous; any other new id (a gap, an id below [lo], or
-   [max_int], whose successor would wrap) is kept in [above]. *)
+(* Delivered (origin, id) keys: per origin a run [lo, hi) plus the ids
+   outside it in [above]. Clients number their messages consecutively, so
+   in the steady state each origin costs one record however long it runs.
+   [max_int] never extends a run: [hi] would wrap to [min_int]. *)
 module Seen = struct
   module Int_map = Map.Make (Int)
   module Int_set = Set.Make (Int)

@@ -8,16 +8,18 @@
     Messages submitted by clients are accumulated and proposed as batches
     (the paper's batching optimization); decided batches are unfolded into
     individually sequence-numbered deliveries, deduplicated by
-    (origin, id) against {!Seen}. Each member keeps one run of
+    (origin, id) against {!Seen}. Each member keeps one interval of
     consecutive ids per origin plus the ids that arrived out of order, so
-    dedup memory is O(origins + out-of-order ids), not O(history); the
-    delivered sequence itself is not retained — it is the stream of
-    [Notify] actions. A member keeps up to [window] batches in flight through
-    consensus at once (default 1 — the paper's one-outstanding-batch
-    regime); pipelining is safe because both consensus cores decide
-    per-slot and release decisions strictly in slot order, so total order
-    is fixed by slot assignment regardless of how many proposals any
-    member has outstanding. *)
+    dedup memory is O(origins + out-of-order ids), not O(history). The
+    delivered sequence itself is not retained: it is the stream of
+    [Notify] actions.
+
+    A member keeps up to [window] batches in flight through consensus at
+    once (default 1 — the paper's one-outstanding-batch regime);
+    pipelining is safe because both consensus cores decide per-slot and
+    release decisions strictly in slot order, so total order is fixed by
+    slot assignment regardless of how many proposals any member has
+    outstanding. *)
 
 type loc = int
 

@@ -350,32 +350,30 @@ let prop_seen_matches_model =
           (fun d -> probes := Pair_set.add (o, i + d) !probes)
           [ -1; 0; 1 ]
       in
-      let agree seen model =
+      let agree (seen, model) =
         Pair_set.for_all
           (fun (o, i) -> Seen.mem o i seen = Pair_set.mem (o, i) model)
           !probes
       in
-      let step (seen, model) = function
-        | Add (o, i) ->
-            probe o i;
-            (Seen.add o i seen, Pair_set.add (o, i) model)
+      let add (seen, model) o i =
+        probe o i;
+        (Seen.add o i seen, Pair_set.add (o, i) model)
+      in
+      let step st = function
+        | Add (o, i) -> add st o i
         | Mem (o, i) ->
             probe o i;
-            (seen, model)
+            st
         | Run (o, i, n) ->
-            let acc = ref (seen, model) in
-            for k = 0 to n - 1 do
-              probe o (i + k);
-              let seen, model = !acc in
-              acc := (Seen.add o (i + k) seen, Pair_set.add (o, i + k) model)
-            done;
-            !acc
+            List.fold_left
+              (fun st k -> add st o (i + k))
+              st (List.init n Fun.id)
       in
       let rec go st = function
         | [] -> true
         | op :: rest ->
             let st = step st op in
-            agree (fst st) (snd st) && go st rest
+            agree st && go st rest
       in
       go (Seen.empty, Pair_set.empty) ops)
 
